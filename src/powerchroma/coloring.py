@@ -233,8 +233,13 @@ def verify_assignment(graph: Graph, mapping: dict, palette_size: int) -> Verific
     out_of_palette: list[tuple[Edge, int]] = []
     first_at: dict[tuple[int, int], Edge] = {}
     normalized: dict[Edge, int] = {}
-    for key in sorted(make_edge(*k) for k in mapping):
-        normalized[key] = mapping.get(key, mapping.get((key.v, key.u)))
+    entries = sorted(((make_edge(*k), c) for k, c in mapping.items()), key=lambda kc: kc[0])
+    for e, color in entries:
+        if e in normalized:
+            # the same edge listed twice, as (u, v) and (v, u)
+            conflicts.append(ColorConflict(e.u, color, e, e))
+        else:
+            normalized[e] = color
     for e, color in normalized.items():
         if not (0 <= e.u < graph.n and 0 <= e.v < graph.n) or not graph.has_edge(e.u, e.v):
             foreign.append(e)

@@ -8,6 +8,7 @@ construction.
 from __future__ import annotations
 
 import json
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .groups import Group
@@ -28,6 +29,10 @@ __all__ = [
     "max_degree",
     "display_vertex",
 ]
+
+
+# Maps the characters "0"/"1" to the bytes 0/1 (selectors for ``compress``).
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Edge(NamedTuple):
@@ -51,23 +56,27 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels=None):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        canonical = set()
+        bits = [0] * n
         for a, b in edges:
             e = make_edge(a, b)
             if not 0 <= e.u < n or not 0 <= e.v < n:
                 raise ValueError(f"edge {e} out of range for n={n}")
-            canonical.add(e)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        bits = [0] * n
-        for u, v in canonical:
-            adj[u].append(v)
-            adj[v].append(u)
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
+            bits[e.u] |= 1 << e.v
+            bits[e.v] |= 1 << e.u
+        self._adopt_bits(bits, labels)
+
+    def _adopt_bits(self, bits: list[int], labels) -> None:
+        """Set every field from symmetric, loop-free adjacency bitmasks."""
+        n = len(bits)
         self.n = n
-        self.neighbors = tuple(tuple(sorted(a)) for a in adj)
         self.bits = tuple(bits)
-        self.edge_count = len(canonical)
+        # bin() lists the bits high to low; reversed and mapped to 0/1 bytes it
+        # selects the neighbors of each vertex in increasing order.
+        self.neighbors = tuple(
+            tuple(compress(range(n), bin(m)[:1:-1].encode().translate(_BIT_BYTES)))
+            for m in bits
+        )
+        self.edge_count = sum(m.bit_count() for m in bits) // 2
         if labels is None:
             self.labels = tuple(str(i) for i in range(n))
         else:
@@ -117,12 +126,19 @@ def complete_graph(n: int, labels=None) -> Graph:
 def build_power_graph(group: Group) -> Graph:
     """Power graph of a group: a ~ b iff one is a power of the other (a != b)."""
     n = group.order
-    edges = set()
+    bits = [0] * n
     for b in range(n):
+        bit_b = 1 << b
+        mask = 0
         for a in group.powers_of(b):
-            if a != b:
-                edges.add(make_edge(a, b))
-    return Graph(n, edges, group.element_names)
+            bits[a] |= bit_b
+            mask |= 1 << a
+        bits[b] |= mask
+    for v in range(n):
+        bits[v] &= ~(1 << v)  # every element is among its own powers
+    graph = Graph.__new__(Graph)
+    graph._adopt_bits(bits, group.element_names)
+    return graph
 
 
 def max_degree(graph: Graph) -> int:
@@ -178,8 +194,20 @@ def graph_to_json(graph: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    """Parse ``graph_to_json`` output; malformed input raises a one-line ValueError."""
     payload = json.loads(text)
-    return Graph(payload["n"], [tuple(e) for e in payload["edges"]], payload.get("labels"))
+    if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
+        raise ValueError('graph JSON must be an object with "n" and "edges" keys')
+    n, edges, labels = payload["n"], payload["edges"], payload.get("labels")
+    if type(n) is not int:
+        raise ValueError(f'graph JSON "n" must be an integer, got {n!r}')
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+    ):
+        raise ValueError('graph JSON "edges" must be a list of [u, v] integer pairs')
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError('graph JSON "labels" must be a list')
+    return Graph(n, [tuple(e) for e in edges], labels)
 
 
 def graph_to_dot(graph: Graph, coloring=None, display_labels: bool = False) -> str:

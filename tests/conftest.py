@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from powerchroma import Graph, Group, make_edge
+from powerchroma import Graph, Group, GroupTableError, make_edge
 
 
 def brute_is_power(group: Group, a: int, b: int) -> bool:
@@ -29,6 +29,43 @@ def brute_power_graph_edges(group: Group) -> set:
         for b in range(a + 1, n)
         if brute_is_power(group, a, b) or brute_is_power(group, b, a)
     }
+
+
+def reference_validate_table(table) -> None:
+    """The group axioms checked directly, associativity over all n^3 triples.
+
+    Same checks, order and message keywords as ``validate_table``; the library
+    checks associativity with Light's test on a generating set instead.
+    """
+    n = len(table)
+    if n == 0:
+        raise GroupTableError("empty multiplication table")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise GroupTableError(f"row {i} has length {len(row)}, expected {n}")
+        for x in row:
+            if not isinstance(x, int) or not 0 <= x < n:
+                raise GroupTableError(f"entry {x!r} in row {i} out of range 0..{n - 1}")
+        if len(set(row)) != n:
+            raise GroupTableError(f"row {i} is not a permutation (Latin square violated)")
+    for j in range(n):
+        if len({table[i][j] for i in range(n)}) != n:
+            raise GroupTableError(f"column {j} is not a permutation (Latin square violated)")
+    for j in range(n):
+        if table[0][j] != j:
+            raise GroupTableError("element 0 is not a left identity")
+        if table[j][0] != j:
+            raise GroupTableError("element 0 is not a right identity")
+    for a in range(n):
+        row_a = table[a]
+        for b in range(n):
+            row_b = table[b]
+            if [row_a[x] for x in row_b] != list(table[row_a[b]]):
+                raise GroupTableError(f"associativity fails at a={a}, b={b}")
+    for a in range(n):
+        b = table[a].index(0)
+        if table[b][a] != 0:
+            raise GroupTableError(f"element {a} has no two-sided inverse")
 
 
 def brute_phi(n: int) -> int:

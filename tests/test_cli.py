@@ -124,6 +124,19 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
+    def test_verify_malformed_graph_is_one_line_error(self, capsys, tmp_path):
+        graph_path = tmp_path / "g.json"
+        coloring_path = tmp_path / "c.csv"
+        graph_path.write_text('{"n": 3}')
+        coloring_path.write_text("1,2\n")
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph_path), "--coloring", str(coloring_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestSurvey:
     def test_survey_consistent(self, capsys, tmp_path):

@@ -71,6 +71,11 @@ class TestVerify:
         assert report.out_of_palette == ((make_edge(0, 1), 5),)
         assert set(report.uncolored) == {make_edge(0, 2), make_edge(1, 2)}
 
+    def test_edge_listed_twice_is_a_conflict(self):
+        report = verify_assignment(Graph(2, [(0, 1)]), {(0, 1): 0, (1, 0): 1}, 2)
+        assert report.conflicts
+        assert not report.valid
+
     def test_assign_guards(self):
         coloring = EdgeColoring(complete_graph(3), 2)
         coloring.assign(0, 1, 0)

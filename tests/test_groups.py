@@ -8,18 +8,71 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerchroma import (
+    Group,
     GroupSpecError,
     GroupTableError,
     construct_group,
     element_order,
     euler_phi,
     factorize,
+    generate_catalog,
     is_cyclic,
     is_power_of,
     load_table_text,
     validate_table,
 )
-from conftest import brute_phi
+from powerchroma.groups import _generating_set
+from conftest import brute_phi, reference_validate_table
+
+SMALL_TABLES = [construct_group(spec).table for spec in generate_catalog(12)]
+VERDICT_KEYWORDS = ("empty", "length", "range", "Latin", "identity", "associativity", "inverse")
+
+
+def verdict(validator, table):
+    """None when the validator accepts, else the keyword of its error message."""
+    try:
+        validator(table)
+    except GroupTableError as exc:
+        return next(k for k in VERDICT_KEYWORDS if k in str(exc))
+    return None
+
+
+def intercalates(table):
+    """Cells (i1, i2, j1, j2) off row and column 0 holding x, y / y, x."""
+    n = len(table)
+    out = []
+    for i1 in range(1, n):
+        for i2 in range(i1 + 1, n):
+            for j1 in range(1, n):
+                x, y = table[i1][j1], table[i2][j1]
+                j2 = table[i1].index(y)
+                if j2 > j1 and table[i2][j2] == x:
+                    out.append((i1, i2, j1, j2))
+    return out
+
+
+def switch(table, cells):
+    """Swap the two symbols of an intercalate: still a Latin square with identity 0."""
+    i1, i2, j1, j2 = cells
+    rows = [list(row) for row in table]
+    x, y = rows[i1][j1], rows[i1][j2]
+    rows[i1][j1] = rows[i2][j2] = y
+    rows[i1][j2] = rows[i2][j1] = x
+    return tuple(map(tuple, rows))
+
+
+def magma_closure(table, gens):
+    """Everything reachable from gens and 0 by products in either order."""
+    members = {0, *gens}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for y in list(members):
+            for z in (table[x][y], table[y][x]):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    return members
 
 
 class TestConstructGroup:
@@ -56,6 +109,18 @@ class TestConstructGroup:
         group = construct_group("product:cyclic:2,cyclic:2,cyclic:2")
         assert group.order == 8
         assert all(o in (1, 2) for o in group.element_orders)
+
+    def test_nary_product_is_componentwise(self):
+        group = construct_group("product:cyclic:2,cyclic:3,cyclic:4")
+
+        def parts(x):  # mixed radix, first factor most significant
+            return (x // 12, x // 4 % 3, x % 4)
+
+        for a in range(24):
+            for b in range(24):
+                expected = tuple((s + t) % m for s, t, m in zip(parts(a), parts(b), (2, 3, 4)))
+                assert parts(group.table[a][b]) == expected, (a, b)
+        assert group.element_names[13] == "(c,e,c)"
 
     def test_label_normalized(self):
         assert construct_group(" cyclic:6 ").label == "cyclic:6"
@@ -111,6 +176,46 @@ class TestTableFiles:
             load_table_text("2\n0 1\n")
         with pytest.raises(GroupTableError):
             load_table_text("2\n0 7\n1 0\n")
+
+
+class TestValidator:
+    def test_entries_are_not_coerced(self):
+        with pytest.raises(GroupTableError, match="range"):
+            Group([[0, 1.9], [1.2, 0]], "x")
+
+    def test_greedy_generators_generate_and_are_few(self):
+        for spec in generate_catalog(48):
+            table = construct_group(spec).table
+            gens = _generating_set(table)
+            assert magma_closure(table, gens) == set(range(len(table))), spec
+            assert 2 ** len(gens) <= len(table), spec
+            if spec.startswith("cyclic:") and len(table) > 1:
+                assert gens == [1], spec
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_reference_on_perturbed_tables(self, data):
+        table = data.draw(st.sampled_from(SMALL_TABLES))
+        n = len(table)
+        cells = intercalates(table)
+        if cells and data.draw(st.booleans()):
+            table = switch(table, data.draw(st.sampled_from(cells)))
+        else:
+            rows = [list(row) for row in table]
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            rows[i][j] = data.draw(st.integers(0, n - 1))
+            table = tuple(map(tuple, rows))
+        assert verdict(validate_table, table) == verdict(reference_validate_table, table)
+
+    def test_intercalate_switches_include_nonassociative_loops(self):
+        seen = set()
+        for table in SMALL_TABLES:
+            for cells in intercalates(table):
+                switched = switch(table, cells)
+                expected = verdict(reference_validate_table, switched)
+                assert verdict(validate_table, switched) == expected, cells
+                seen.add(expected)
+        assert "associativity" in seen
 
 
 class TestQueries:

@@ -49,12 +49,20 @@ class TestBuildPowerGraph:
 
     @pytest.mark.parametrize(
         "spec",
-        ["cyclic:12", "dihedral:4", "quaternion:3", "product:cyclic:3,cyclic:3", "cyclic:16"],
+        [
+            "cyclic:12",
+            "dihedral:4",
+            "quaternion:3",
+            "product:cyclic:3,cyclic:3",
+            "cyclic:16",
+            "product:cyclic:2,cyclic:2,cyclic:4",
+        ],
     )
     def test_matches_brute_force(self, spec):
         group = construct_group(spec)
         graph = build_power_graph(group)
         assert graph.edge_set == brute_power_graph_edges(group)
+        assert graph.edge_count == len(graph.edge_set)
 
     def test_identity_degree(self):
         for spec in ("cyclic:9", "dihedral:6", "quaternion:2", "product:cyclic:2,cyclic:4"):
@@ -195,6 +203,16 @@ class TestSerialization:
         assert graph_to_json(again) == text
         assert again.edge_set == graph.edge_set
         assert again.labels == graph.labels
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 3}', '{"n": 2, "edges": [[0]]}', '{"n": "a", "edges": []}', "[]"],
+    )
+    def test_json_malformed_is_value_error(self, text):
+        with pytest.raises(ValueError) as info:
+            graph_from_json(text)
+        assert type(info.value) is ValueError
+        assert "\n" not in str(info.value)
 
     @given(st.integers(min_value=0, max_value=9), st.data())
     @settings(max_examples=60, deadline=None)
