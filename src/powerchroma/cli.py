@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .coloring import (
+    ColoringError,
     coloring_to_csv,
     coloring_to_json,
     parse_coloring_csv,
@@ -32,11 +33,15 @@ from .toolkit import generate_catalog, run_survey
 SEED_ENV = "POWERCHROMA_SEED"
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed`` when given, else the POWERCHROMA_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get(SEED_ENV, "0")
     try:
-        return int(os.environ.get(SEED_ENV, "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise ValueError(f"{SEED_ENV} must be an integer, got {text!r}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -94,7 +99,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_color(args) -> int:
     group = construct_group(args.spec)
-    result = color_power_graph(group, strategy=args.strategy, seed=args.seed)
+    result = color_power_graph(group, strategy=args.strategy, seed=_seed(args))
     check = verify_proper(result.graph, result.coloring)
     payload = {
         "spec": group.label,
@@ -128,7 +133,9 @@ def _cmd_verify(args) -> int:
     graph = graph_from_json(Path(args.graph).read_text(encoding="utf-8"))
     text = Path(args.coloring).read_text(encoding="utf-8")
     if args.coloring.endswith(".json"):
-        _, palette, mapping = parse_coloring_json(text)
+        n, palette, mapping = parse_coloring_json(text)
+        if n != graph.n:
+            raise ColoringError(f"coloring is for n={n} but the graph has n={graph.n}")
     else:
         palette, mapping = parse_coloring_csv(text, graph.n)
     report = verify_assignment(graph, mapping, palette)
@@ -150,7 +157,7 @@ def _cmd_survey(args) -> int:
         catalog,
         witness=args.witness,
         oracle_max_order=args.oracle_max_order,
-        seed=args.seed,
+        seed=_seed(args),
         jobs=args.jobs,
         extra_specs=tuple(args.extra or ()),
     )
@@ -188,7 +195,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("color", help="produce and verify a coloring witness")
     p.add_argument("spec", help=spec_help)
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--csv", help="write the coloring table here")
     p.add_argument("--json", help="write the flat coloring JSON here")
     p.add_argument("--out", help="write the summary JSON here instead of stdout")
@@ -204,7 +211,7 @@ def main(argv=None) -> int:
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--oracle-max-order", type=int, default=0)
     p.add_argument("--witness", action="store_true", help="generate and verify colorings")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="include per-group timings")
     p.add_argument("--extra", action="append", metavar="SPEC",

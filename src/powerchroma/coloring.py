@@ -505,14 +505,37 @@ def coloring_to_json(coloring: EdgeColoring) -> str:
 
 
 def parse_coloring_json(text: str) -> tuple[int, int, dict[Edge, int]]:
-    """Parse the flat JSON form into (n, palette_size, internal edge -> 0-based color)."""
-    payload = json.loads(text)
-    n = int(payload["n"])
-    palette = int(payload["palette"])
+    """Parse the flat JSON form into (n, palette_size, internal edge -> 0-based color).
+
+    Malformed input raises a one-line ColoringError; no value is coerced.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ColoringError(f"coloring JSON does not parse: {exc}") from None
+    if type(payload) is not dict:
+        raise ColoringError("coloring JSON must be an object with n, palette and edges")
+    for key in ("n", "palette", "edges"):
+        if key not in payload:
+            raise ColoringError(f"coloring JSON lacks {key!r}")
+    n, palette, edges = payload["n"], payload["palette"], payload["edges"]
+    if type(n) is not int or n < 0:
+        raise ColoringError(f"coloring JSON 'n' must be an integer >= 0, got {n!r}")
+    if type(palette) is not int or palette < 0:
+        raise ColoringError(f"coloring JSON 'palette' must be an integer >= 0, got {palette!r}")
+    if type(edges) is not list:
+        raise ColoringError("coloring JSON 'edges' must be a list")
     mapping: dict[Edge, int] = {}
-    for item in payload["edges"]:
-        e = make_edge(int(item["u"]), int(item["v"]))
+    for item in edges:
+        if type(item) is not dict:
+            raise ColoringError(f"edge entry {item!r} must be an object with u, v and color")
+        u, v, color = item.get("u"), item.get("v"), item.get("color")
+        if type(u) is not int or type(v) is not int or type(color) is not int:
+            raise ColoringError(f"edge entry {item!r} must hold integers u, v and color")
+        if u == v:
+            raise ColoringError(f"edge entry {item!r} is a loop")
+        e = make_edge(u, v)
         if e in mapping:
             raise ColoringError(f"edge {tuple(e)} listed twice")
-        mapping[e] = int(item["color"]) - 1
+        mapping[e] = color - 1
     return n, palette, mapping

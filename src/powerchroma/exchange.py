@@ -13,18 +13,39 @@ color pairs, bounded sacrifice chains (temporarily removing target edges, as
 deeper conflicts require), seeded random scrambles, and finally deeper chains
 under a node budget. Failure is reported with diagnostics and proves nothing
 about the target's chromatic index.
+
+An attempt to trade a colored edge r (color x) for an absent edge t = (u, v)
+removes r and then looks for a color missing at both u and v, or for a pair
+(alpha, beta), alpha missing at u and beta at v, whose alternating path from
+v does not end at u; inverting that path frees alpha at v. The drain settles
+most attempts without walking them. The base colors (n-1)^2/2 edges in n-1
+colors and every trade is one-for-one, so until the final deletion each color
+class is a near-perfect matching and each color is missing at exactly one
+vertex. Hence u and v share no missing color, and the alpha/beta path from v
+ends at u: t can never be added with no removal. If r touches neither u nor v
+and x is missing at neither, removing r leaves the missing colors at u and v
+as they were, and every walk uses only colors from those sets, never x, so
+each walk is the same with or without r and the attempt fails. The drain
+therefore walks only the extra edges at u or v and those whose color is
+missing at u or v. It counts each other extra edge that sorts before the
+first success (all of them when none succeeds) as the failed attempt it would
+have been, so ``stats["attempts"]`` is unchanged.
+
+After a failed walk from v, the engine does not walk from u along beta: v
+misses beta and u misses alpha, so each ends its alpha/beta path, and when
+the path from v ends at u, the path from u ends at v and fails too.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from . import oracle
 from .coloring import (
     ColoringError,
     EdgeColoring,
-    base_rotation_coloring,
     restrict_coloring,
     rotation_classes,
     round_robin_coloring,
@@ -68,26 +89,32 @@ class ExchangeState:
 
     ``extra`` holds colored edges absent from the target; ``missing`` holds
     target edges not currently in the working graph. Inversions and exchanges
-    keep the coloring proper; |extra| - |missing| is invariant.
+    keep the coloring proper; |extra| - |missing| is invariant. The color
+    table is flat: ``at[v * palette + c]`` is the vertex joined to v by color
+    c, or -1 when v misses c. ``_order`` keeps ``extra`` sorted, so the drain
+    ranks an edge by bisection instead of sorting.
     """
 
-    __slots__ = ("n", "palette", "target", "edge_color", "at", "extra", "missing", "stats")
+    __slots__ = (
+        "n", "palette", "target", "edge_color", "at", "extra", "missing", "stats", "_order",
+    )
 
     def __init__(self, target: Graph):
         n = target.n
         if n < 3 or n % 2 == 0:
             raise ValueError(f"exchange transform needs odd order >= 3, got n={n}")
-        base, _ = base_rotation_coloring(n)
         self.n = n
         self.palette = n - 1
         self.target = target.edge_set
-        self.edge_color: dict[Edge, int] = dict(base.assignment())
-        self.at: list[dict[int, int]] = [{} for _ in range(n)]
-        for e, c in self.edge_color.items():
-            self.at[e.u][c] = e.v
-            self.at[e.v][c] = e.u
+        self.edge_color: dict[Edge, int] = {}
+        self.at: list[int] = [-1] * (n * self.palette)
+        # the rotation base: classes S_1..S_{n-1} on colors 0..n-2, S_n left out
+        for color, cls in enumerate(rotation_classes(n)[:-1]):
+            for e in cls:
+                self._place(e, color)
         self.extra = {e for e in self.edge_color if e not in self.target}
         self.missing = {e for e in self.target if e not in self.edge_color}
+        self._order = sorted(self.extra)
         self.stats = {
             "attempts": 0,
             "exchanges": 0,
@@ -99,47 +126,60 @@ class ExchangeState:
         }
 
     def neighbor_at(self, v: int, color: int) -> int | None:
-        return self.at[v].get(color)
+        w = self.at[v * self.palette + color]
+        return None if w < 0 else w
 
     def missing_colors(self, v: int) -> set[int]:
-        return set(range(self.palette)) - self.at[v].keys()
+        return set(_missing(self.at, v * self.palette, self.palette))
+
+    def _place(self, e: Edge, color: int) -> None:
+        """Color an absent edge, refusing clashes; leaves ``extra``/``missing`` alone."""
+        if e in self.edge_color:
+            raise ColoringError(f"edge {tuple(e)} already in the working graph")
+        p = self.palette
+        if not 0 <= color < p:
+            raise ColoringError(f"color {color} outside palette 0..{p - 1}")
+        u, v = e
+        if self.at[u * p + color] >= 0 or self.at[v * p + color] >= 0:
+            raise ColoringError(f"color {color} clashes at an endpoint of {tuple(e)}")
+        self.edge_color[e] = color
+        self.at[u * p + color] = v
+        self.at[v * p + color] = u
 
     def remove_edge(self, e: Edge) -> int:
         color = self.edge_color.pop(e)
-        del self.at[e.u][color]
-        del self.at[e.v][color]
+        p = self.palette
+        self.at[e.u * p + color] = -1
+        self.at[e.v * p + color] = -1
         if e in self.target:
             self.missing.add(e)
         else:
-            self.extra.discard(e)
+            self.extra.remove(e)
+            del self._order[bisect_left(self._order, e)]
         return color
 
     def add_edge(self, e: Edge, color: int) -> None:
-        if e in self.edge_color:
-            raise ColoringError(f"edge {tuple(e)} already in the working graph")
-        if color in self.at[e.u] or color in self.at[e.v]:
-            raise ColoringError(f"color {color} clashes at an endpoint of {tuple(e)}")
-        self.edge_color[e] = color
-        self.at[e.u][color] = e.v
-        self.at[e.v][color] = e.u
+        self._place(e, color)
         if e in self.target:
             self.missing.discard(e)
         else:
             self.extra.add(e)
+            insort(self._order, e)
 
     def invert_path(self, vertices: list[int], a: int, b: int) -> None:
         """Swap colors a <-> b along consecutive edges of an open alternating path."""
+        p = self.palette
+        at = self.at
         edges = [make_edge(x, y) for x, y in zip(vertices, vertices[1:])]
         olds = [self.edge_color[e] for e in edges]
-        for e, c in zip(edges, olds):
-            del self.edge_color[e]
-            del self.at[e.u][c]
-            del self.at[e.v][c]
-        for e, c in zip(edges, olds):
+        for (u, v), c in zip(edges, olds):
+            at[u * p + c] = -1
+            at[v * p + c] = -1
+        for (u, v), c in zip(edges, olds):
             new = b if c == a else a
-            self.edge_color[e] = new
-            self.at[e.u][new] = e.v
-            self.at[e.v][new] = e.u
+            self.edge_color[Edge(u, v)] = new
+            at[u * p + new] = v
+            at[v * p + new] = u
         self.stats["inversions"] += 1
 
     def invert_cycle(self, vertices: list[int], a: int, b: int) -> None:
@@ -148,11 +188,12 @@ class ExchangeState:
 
     def scramble(self, rng: random.Random, steps: int) -> None:
         """Random maximal two-color component inversions; properness is preserved."""
+        p = self.palette
         for _ in range(steps):
             v = rng.randrange(self.n)
-            a, b = rng.sample(range(self.palette), 2)
-            has_a = a in self.at[v]
-            has_b = b in self.at[v]
+            a, b = rng.sample(range(p), 2)
+            has_a = self.at[v * p + a] >= 0
+            has_b = self.at[v * p + b] >= 0
             if not has_a and not has_b:
                 continue
             if has_a and has_b:
@@ -162,7 +203,7 @@ class ExchangeState:
                     continue
                 # v is interior to a path: restart from the far end for maximality
                 end = verts[-1]
-                start = a if a in self.at[end] else b
+                start = a if self.at[end * p + a] >= 0 else b
                 other = b if start == a else a
                 verts, _ = walk_alternating(self.neighbor_at, end, start, other)
                 self.invert_path(verts, a, b)
@@ -176,7 +217,7 @@ class ExchangeState:
     def snapshot(self):
         return (
             dict(self.edge_color),
-            [dict(d) for d in self.at],
+            list(self.at),
             set(self.extra),
             set(self.missing),
         )
@@ -184,16 +225,62 @@ class ExchangeState:
     def restore(self, snap) -> None:
         edge_color, at, extra, missing = snap
         self.edge_color = dict(edge_color)
-        self.at = [dict(d) for d in at]
+        self.at = list(at)
         self.extra = set(extra)
         self.missing = set(missing)
+        self._order = sorted(self.extra)
         self.stats["restores"] += 1
 
     def to_coloring(self, target: Graph) -> EdgeColoring:
         out = EdgeColoring(target, self.palette)
-        for e, c in sorted(self.edge_color.items()):
-            out.assign(e.u, e.v, c)
+        edge_color = self.edge_color
+        for e in sorted(edge_color):
+            out.assign(e.u, e.v, edge_color[e])
         return out
+
+
+def _missing(at: list[int], base: int, palette: int) -> list[int]:
+    """Colors missing at the vertex whose table row starts at ``base``, ascending."""
+    row = at[base:base + palette]
+    out = []
+    c = -1
+    for _ in range(row.count(-1)):
+        c = row.index(-1, c + 1)
+        out.append(c)
+    return out
+
+
+def _plan(state: ExchangeState, add: Edge) -> tuple[int, int] | None:
+    """How the absent edge ``add`` = (u, v) can be colored in the current table.
+
+    Returns (c, -1) when u and v share a missing color (c the least), and
+    (alpha, beta) when inverting the alpha/beta path from v frees alpha at v
+    (the first such pair in sorted order); None when neither exists.
+    """
+    at, p = state.at, state.palette
+    u, v = add
+    missing_u = _missing(at, u * p, p)
+    missing_v = _missing(at, v * p, p)
+    shared = set(missing_u).intersection(missing_v)
+    if shared:
+        return min(shared), -1
+    # the walk is inlined, not ``walk_alternating``, since it runs on every
+    # attempt; on success ``_attempt_exchange`` re-walks it to collect vertices
+    for alpha in missing_u:
+        for beta in missing_v:
+            # v has alpha and misses beta, so this walk runs to the path's far end
+            cur = v
+            while True:
+                nxt = at[cur * p + alpha]
+                if nxt < 0:
+                    break
+                cur = at[nxt * p + beta]
+                if cur < 0:
+                    cur = nxt
+                    break
+            if cur != u:
+                return alpha, beta
+    return None
 
 
 def _attempt_exchange(state: ExchangeState, remove: Edge, add: Edge) -> bool:
@@ -202,34 +289,27 @@ def _attempt_exchange(state: ExchangeState, remove: Edge, add: Edge) -> bool:
     On success the state is updated; on failure it is left exactly as found.
     """
     state.stats["attempts"] += 1
-    x = state.remove_edge(remove)
-    u, v = add
-    missing_u = state.missing_colors(u)
-    missing_v = state.missing_colors(v)
-    shared = missing_u & missing_v
-    if shared:
-        state.add_edge(add, min(shared))
+    at, p = state.at, state.palette
+    x = state.edge_color[remove]
+    a, b = remove
+    # plan with ``remove`` lifted out of the table; put it back when there is no plan
+    at[a * p + x] = -1
+    at[b * p + x] = -1
+    plan = _plan(state, add)
+    if plan is None:
+        at[a * p + x] = b
+        at[b * p + x] = a
+        return False
+    state.remove_edge(remove)
+    color, beta = plan
+    if beta < 0:
         state.stats["direct"] += 1
-        state.stats["exchanges"] += 1
-        return True
-    for alpha in sorted(missing_u):
-        for beta in sorted(missing_v):
-            # make v miss alpha: walk from v along alpha, alternating beta
-            verts, closed = walk_alternating(state.neighbor_at, v, alpha, beta)
-            if not closed and verts[-1] != u:
-                state.invert_path(verts, alpha, beta)
-                state.add_edge(add, alpha)
-                state.stats["exchanges"] += 1
-                return True
-            # or make u miss beta: walk from u along beta, alternating alpha
-            verts, closed = walk_alternating(state.neighbor_at, u, beta, alpha)
-            if not closed and verts[-1] != v:
-                state.invert_path(verts, beta, alpha)
-                state.add_edge(add, beta)
-                state.stats["exchanges"] += 1
-                return True
-    state.add_edge(remove, x)
-    return False
+    else:
+        verts, _ = walk_alternating(state.neighbor_at, add.v, color, beta)
+        state.invert_path(verts, color, beta)
+    state.add_edge(add, color)
+    state.stats["exchanges"] += 1
+    return True
 
 
 def exchange_edge(state: ExchangeState, remove: Edge, add: Edge) -> ExchangeState:
@@ -268,9 +348,12 @@ class _Limits:
 def _sacrifice_candidates(state: ExchangeState, t: Edge, limits: _Limits) -> list[Edge]:
     out: list[Edge] = []
     seen = set()
+    p = state.palette
     for w in t:
-        for color in sorted(state.at[w]):
-            e = make_edge(w, state.at[w][color])
+        for x in state.at[w * p:(w + 1) * p]:
+            if x < 0:
+                continue
+            e = make_edge(w, x)
             if e == t or e in seen or e in state.extra or e in limits.banned:
                 continue
             seen.add(e)
@@ -278,14 +361,51 @@ def _sacrifice_candidates(state: ExchangeState, t: Edge, limits: _Limits) -> lis
     return out
 
 
+def _relevant(state: ExchangeState, t: Edge) -> list[Edge]:
+    """The extra edges the lemma cannot settle for t, sorted.
+
+    These are the extra edges at an endpoint of t and those whose color is
+    missing at an endpoint; removing any other extra edge changes no walk.
+    """
+    at, p, extra = state.at, state.palette, state.extra
+    out = set()
+    for w in t:
+        base = w * p
+        for x in at[base:base + p]:
+            if x > w:
+                if (w, x) in extra:
+                    out.add(Edge(w, x))
+            elif x >= 0 and (x, w) in extra:
+                out.add(Edge(x, w))
+        for c in _missing(at, base, p):
+            # the color class c as a partner list: vertex y is joined to x
+            for y, x in enumerate(at[c::p]):
+                if x > y and (y, x) in extra:
+                    out.add(Edge(y, x))
+    return sorted(out)
+
+
 def _try_add(state: ExchangeState, t: Edge, depth: int, limits: _Limits) -> bool:
-    """Bring target edge t into the working graph, sacrificing up to `depth` edges."""
-    state.stats["chain_calls"] += 1
+    """Bring target edge t into the working graph, sacrificing up to `depth` edges.
+
+    Extra edges are tried in sorted order, but only the ``_relevant`` ones
+    are walked. The drain keeps every color class a near-perfect matching, so
+    t cannot be added with no removal, and by the lemma in the module
+    docstring every other extra edge fails; it is counted as an attempt.
+    """
+    stats = state.stats
+    stats["chain_calls"] += 1
     if not limits.spend():
         return False
-    for r in sorted(state.extra):
+    order = state._order
+    counted = 0  # the ranks in ``order`` below this are already counted
+    for r in _relevant(state, t):
+        rank = bisect_left(order, r)
+        stats["attempts"] += rank - counted
+        counted = rank + 1
         if _attempt_exchange(state, r, t):
             return True
+    stats["attempts"] += len(order) - counted
     if depth <= 0:
         return False
     for r in _sacrifice_candidates(state, t, limits):
@@ -358,7 +478,7 @@ def exchange_coloring(
                 done = True
         if not done:
             raise ExchangeFailure(sorted(state.extra), sorted(state.missing), state.stats)
-    for e in sorted(state.extra):
+    for e in state._order[::-1]:  # last first: each deletion from the side list is O(1)
         state.remove_edge(e)
     return state.to_coloring(target)
 

@@ -8,6 +8,8 @@ import random
 import pytest
 
 from powerchroma import Graph, Group, GroupTableError, make_edge
+from powerchroma.coloring import walk_alternating
+from powerchroma.exchange import _sacrifice_candidates
 
 
 def brute_is_power(group: Group, a: int, b: int) -> bool:
@@ -66,6 +68,75 @@ def reference_validate_table(table) -> None:
         b = table[a].index(0)
         if table[b][a] != 0:
             raise GroupTableError(f"element {a} has no two-sided inverse")
+
+
+def reference_attempt_exchange(state, remove, add) -> bool:
+    """One exchange attempt as first written: remove, then walk every color pair both ways.
+
+    Uses only the state's public methods; the library plans the same attempt
+    on its flat table and skips the mirror walk from u.
+    """
+    state.stats["attempts"] += 1
+    x = state.remove_edge(remove)
+    u, v = add
+    missing_u = state.missing_colors(u)
+    missing_v = state.missing_colors(v)
+    shared = missing_u & missing_v
+    if shared:
+        state.add_edge(add, min(shared))
+        state.stats["direct"] += 1
+        state.stats["exchanges"] += 1
+        return True
+    for alpha in sorted(missing_u):
+        for beta in sorted(missing_v):
+            verts, closed = walk_alternating(state.neighbor_at, v, alpha, beta)
+            if not closed and verts[-1] != u:
+                state.invert_path(verts, alpha, beta)
+                state.add_edge(add, alpha)
+                state.stats["exchanges"] += 1
+                return True
+            verts, closed = walk_alternating(state.neighbor_at, u, beta, alpha)
+            if not closed and verts[-1] != v:
+                state.invert_path(verts, beta, alpha)
+                state.add_edge(add, beta)
+                state.stats["exchanges"] += 1
+                return True
+    state.add_edge(remove, x)
+    return False
+
+
+def reference_try_add(state, t, depth, limits) -> bool:
+    """The drain step with every extra edge walked in sorted order; no skipping."""
+    state.stats["chain_calls"] += 1
+    if not limits.spend():
+        return False
+    for r in sorted(state.extra):
+        if reference_attempt_exchange(state, r, t):
+            return True
+    if depth <= 0:
+        return False
+    for r in _sacrifice_candidates(state, t, limits):
+        snap = state.snapshot()
+        if not reference_attempt_exchange(state, r, t):
+            continue
+        limits.banned.add(t)
+        ok = reference_try_add(state, r, depth - 1, limits)
+        limits.banned.discard(t)
+        if ok:
+            return True
+        state.restore(snap)
+    return False
+
+
+def reference_drain(state, depth, limits) -> bool:
+    """``exchange._drain`` over ``reference_try_add``."""
+    while state.missing:
+        for t in sorted(state.missing):
+            if reference_try_add(state, t, depth, limits):
+                break
+        else:
+            return False
+    return True
 
 
 def brute_phi(n: int) -> int:

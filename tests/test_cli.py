@@ -1,9 +1,14 @@
 """CLI verbs, file round trips, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powerchroma
 from powerchroma.cli import main
 
 
@@ -124,6 +129,25 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
+    @pytest.mark.parametrize("payload", ["c15", "[1, 2]", '{"n": 21, "edges": []}'])
+    def test_verify_bad_json_coloring_is_one_line_error(self, capsys, tmp_path, payload):
+        graph_path = tmp_path / "g.json"
+        coloring_path = tmp_path / "c.json"
+        run(capsys, "build", "cyclic:21", "--out", str(graph_path))
+        if payload == "c15":  # a valid coloring of another order: n mismatch, not 109 uncolored
+            run(capsys, "color", "cyclic:15", "--json", str(coloring_path), "--out", str(tmp_path / "s.json"))
+        else:
+            coloring_path.write_text(payload)
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph_path), "--coloring", str(coloring_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        if payload == "c15":
+            assert "n=15" in err and "n=21" in err
+
     def test_verify_malformed_graph_is_one_line_error(self, capsys, tmp_path):
         graph_path = tmp_path / "g.json"
         coloring_path = tmp_path / "c.csv"
@@ -180,7 +204,29 @@ class TestSeedEnv:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
-    def test_garbage_env_var_falls_back(self, capsys, monkeypatch):
+    def test_garbage_env_var_is_one_line_error(self, capsys, monkeypatch):
         monkeypatch.setenv("POWERCHROMA_SEED", "not-a-number")
-        code, _, _ = run(capsys, "color", "cyclic:15")
+        for argv in (["color", "cyclic:15"], ["survey", "--max-order", "3"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err == "error: POWERCHROMA_SEED must be an integer, got 'not-a-number'\n"
+
+    def test_seed_flag_overrides_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("POWERCHROMA_SEED", "not-a-number")
+        code, out, _ = run(capsys, "color", "cyclic:15", "--seed", "3")
         assert code == 0
+        assert json.loads(out)["verified"] is True
+
+
+class TestModuleEntry:
+    def test_python_m_powerchroma(self):
+        src = str(Path(powerchroma.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "powerchroma", "classify", "cyclic:9"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["class"] == "class2"

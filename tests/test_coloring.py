@@ -295,6 +295,28 @@ class TestTableIO:
         with pytest.raises(ColoringError):
             parse_coloring_csv('1\n"(1, 2)"\n"(2, 1)"\n', 15)  # duplicate edge
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"n": 3, "edges": []}',
+            '{"n": 3, "palette": 2, "edges": [{"u": 0, "v": 1, "color": 1.5}]}',
+            '{"n": 3, "palette": 2, "edges": [{"u": 0, "v": 1, "color": true}]}',
+            '{"n": 3, "palette": 2, "edges": [{"u": "0", "v": 1, "color": 1}]}',
+            '{"n": 3, "palette": 2, "edges": [{"u": 0, "v": 1}]}',
+            '{"n": 3, "palette": 2, "edges": [[0, 1, 1]]}',
+            '{"n": 3, "palette": 2, "edges": [{"u": 1, "v": 1, "color": 1}]}',
+            '{"n": 3, "palette": 2, "edges": {}}',
+            '{"n": 3.0, "palette": 2, "edges": []}',
+            '{"n": 3, "palette": -1, "edges": []}',
+            '{"n": 3, "palette": 2, "edges": [',
+        ],
+    )
+    def test_json_malformed_is_coloring_error(self, text):
+        with pytest.raises(ColoringError) as err:
+            parse_coloring_json(text)
+        assert "\n" not in str(err.value)
+
     def test_json_roundtrip(self):
         coloring = round_robin_coloring(6)
         n, palette, mapping = parse_coloring_json(coloring_to_json(coloring))

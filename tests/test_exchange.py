@@ -20,7 +20,12 @@ from powerchroma import (
     verify_assignment,
     verify_proper,
 )
+from powerchroma.exchange import _Limits, _attempt_exchange, _drain, _plan, _relevant, _try_add
 from powerchroma.fixtures import k15_exchanged_table
+from powerchroma.overfull import predict_class
+from powerchroma.toolkit import generate_catalog
+
+from conftest import reference_attempt_exchange, reference_drain
 
 
 def check_state(state: ExchangeState) -> None:
@@ -42,6 +47,25 @@ def random_matching_target(rng: random.Random, n: int) -> Graph:
     matching = {make_edge(verts[2 * i], verts[2 * i + 1]) for i in range(n // 2)}
     edges = set(complete_graph(n).edges()) - matching
     return Graph(n, edges)
+
+
+def odd_class1_specs(max_order: int) -> list[str]:
+    specs = []
+    for spec in generate_catalog(max_order).specs:
+        group = construct_group(spec)
+        if group.order >= 3 and group.order % 2 and predict_class(group).class_label == "class1":
+            specs.append(spec)
+    return specs
+
+
+def assert_drains_alike(target: Graph) -> None:
+    """The skipping drain ends exactly where the full-walk reference does."""
+    fast, slow = ExchangeState(target), ExchangeState(target)
+    assert _drain(fast, 3, _Limits(200_000)) == reference_drain(slow, 3, _Limits(200_000))
+    assert fast.edge_color == slow.edge_color
+    assert fast.extra == slow.extra and fast.missing == slow.missing
+    assert fast.stats == slow.stats
+    check_state(fast)
 
 
 class TestExchangeState:
@@ -114,6 +138,46 @@ class TestExchangeEdge:
                     assert len(state.edge_color) == size
                     steps += 1
         assert steps >= 100
+
+
+class TestSkipLemma:
+    """The drain settles attempts whose extra edge cannot change any walk without walking them."""
+
+    @pytest.mark.parametrize("spec", odd_class1_specs(63))
+    def test_drain_matches_full_walk_on_catalog(self, spec):
+        assert_drains_alike(build_power_graph(construct_group(spec)))
+
+    @pytest.mark.parametrize("n", [7, 9, 11, 13])
+    def test_drain_matches_full_walk_on_random_targets(self, rng, n):
+        for _ in range(12):
+            assert_drains_alike(random_matching_target(rng, n))
+
+    def test_skipped_attempts_fail_and_leave_the_state(self, rng):
+        targets = [build_power_graph(construct_group(s)) for s in ("cyclic:15", "cyclic:21")]
+        targets += [random_matching_target(rng, n) for n in (9, 11, 13) for _ in range(3)]
+        checked = 0
+        for target in targets:
+            state = ExchangeState(target)
+            limits = _Limits(200_000)
+            while state.missing:
+                for t in sorted(state.missing):
+                    # every color class is a near-perfect matching: no removal, no way in
+                    assert _plan(state, t) is None
+                    relevant = set(_relevant(state, t))
+                    for r in sorted(state.extra - relevant):
+                        assert r[0] not in t and r[1] not in t
+                        for attempt in (_attempt_exchange, reference_attempt_exchange):
+                            snap = state.snapshot()
+                            assert not attempt(state, r, t)
+                            assert state.edge_color == snap[0]
+                            assert state.at == snap[1]
+                            assert state.extra == snap[2]
+                            assert state.missing == snap[3]
+                            checked += 1
+                if not any(_try_add(state, t, 3, limits) for t in sorted(state.missing)):
+                    break
+                check_state(state)
+        assert checked >= 1000
 
 
 class TestExchangeColoring:
