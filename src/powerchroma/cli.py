@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,18 +29,22 @@ from .overfull import core_class1_check, deficiency_report, predict_class
 from .powergraph import build_power_graph, graph_from_json, graph_to_dot, graph_to_json
 from .toolkit import generate_catalog, run_survey
 
-SEED_ENV = "POWERCHROMA_SEED"
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag error as one ``error: ...`` line with exit status 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
 
 
-def _seed(args) -> int:
-    """``--seed`` when given, else the POWERCHROMA_SEED environment variable, else 0."""
-    if args.seed is not None:
-        return args.seed
-    text = os.environ.get(SEED_ENV, "0")
+def _nonnegative(text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise ValueError(f"{SEED_ENV} must be an integer, got {text!r}") from None
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -99,7 +102,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_color(args) -> int:
     group = construct_group(args.spec)
-    result = color_power_graph(group, strategy=args.strategy, seed=_seed(args))
+    result = color_power_graph(group, strategy=args.strategy)
     check = verify_proper(result.graph, result.coloring)
     payload = {
         "spec": group.label,
@@ -157,8 +160,6 @@ def _cmd_survey(args) -> int:
         catalog,
         witness=args.witness,
         oracle_max_order=args.oracle_max_order,
-        seed=_seed(args),
-        jobs=args.jobs,
         extra_specs=tuple(args.extra or ()),
     )
     _emit(result.to_json(include_timing=args.timing), args.out)
@@ -166,7 +167,7 @@ def _cmd_survey(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powerchroma",
         description="Power graphs of finite groups: overfullness, edge-chromatic "
         "class, and verified edge colorings.",
@@ -195,7 +196,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("color", help="produce and verify a coloring witness")
     p.add_argument("spec", help=spec_help)
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    p.add_argument("--seed", type=int)
     p.add_argument("--csv", help="write the coloring table here")
     p.add_argument("--json", help="write the flat coloring JSON here")
     p.add_argument("--out", help="write the summary JSON here instead of stdout")
@@ -209,10 +209,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("survey", help="classify a whole catalog of groups")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--oracle-max-order", type=int, default=0)
+    p.add_argument("--oracle-max-order", type=_nonnegative, default=0)
     p.add_argument("--witness", action="store_true", help="generate and verify colorings")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="include per-group timings")
     p.add_argument("--extra", action="append", metavar="SPEC",
                    help="extra group spec to include (repeatable), e.g. table:file")

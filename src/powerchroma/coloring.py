@@ -67,85 +67,100 @@ class EdgeColoring:
 
     ``assign`` refuses improper, out-of-palette, or off-graph moves, so every
     reachable state is proper by construction; ``verify_proper`` re-checks
-    independently from the raw assignment.
+    independently from the raw assignment. ``edge_color`` maps each colored
+    edge to its color; the flat table ``at[v * palette_size + c]`` is the
+    vertex joined to v by color c, or -1 when v misses c. Only code that keeps
+    the two in step may write them.
     """
 
-    __slots__ = ("graph", "palette_size", "_edge_color", "_at")
+    __slots__ = ("graph", "palette_size", "edge_color", "at")
 
     def __init__(self, graph: Graph, palette_size: int):
         if palette_size < 0:
             raise ColoringError(f"palette size must be >= 0, got {palette_size}")
         self.graph = graph
         self.palette_size = palette_size
-        self._edge_color: dict[Edge, int] = {}
-        self._at: list[dict[int, int]] = [{} for _ in range(graph.n)]
+        self.edge_color: dict[Edge, int] = {}
+        self.at: list[int] = [-1] * (graph.n * palette_size)
 
     def copy(self) -> "EdgeColoring":
         out = EdgeColoring.__new__(EdgeColoring)
         out.graph = self.graph
         out.palette_size = self.palette_size
-        out._edge_color = dict(self._edge_color)
-        out._at = [dict(d) for d in self._at]
+        out.edge_color = dict(self.edge_color)
+        out.at = list(self.at)
         return out
 
     def color_of(self, a: int, b: int) -> int | None:
-        return self._edge_color.get(make_edge(a, b))
+        return self.edge_color.get(make_edge(a, b))
 
     def neighbor_at(self, v: int, color: int) -> int | None:
         """The neighbor joined to v by an edge of this color, if any."""
-        return self._at[v].get(color)
+        p = self.palette_size
+        if not 0 <= color < p:
+            return None
+        w = self.at[v * p + color]
+        return None if w < 0 else w
 
     def colors_at(self, v: int) -> set[int]:
-        return set(self._at[v])
+        p = self.palette_size
+        return {c for c, w in enumerate(self.at[v * p:(v + 1) * p]) if w >= 0}
 
     def missing_at(self, v: int) -> set[int]:
-        return set(range(self.palette_size)) - self._at[v].keys()
+        p = self.palette_size
+        return {c for c, w in enumerate(self.at[v * p:(v + 1) * p]) if w < 0}
 
     def assign(self, a: int, b: int, color: int) -> None:
         e = make_edge(a, b)
-        if not self.graph.has_edge(a, b):
+        u, v = e
+        graph = self.graph
+        # the range test keeps a negative index from wrapping into another row
+        if u < 0 or v >= graph.n or not graph.bits[u] >> v & 1:
             raise ColoringError(f"edge {tuple(e)} is not in the graph")
-        if not 0 <= color < self.palette_size:
-            raise ColoringError(f"color {color} outside palette 0..{self.palette_size - 1}")
-        if e in self._edge_color:
+        p = self.palette_size
+        if not 0 <= color < p:
+            raise ColoringError(f"color {color} outside palette 0..{p - 1}")
+        if e in self.edge_color:
             raise ColoringError(f"edge {tuple(e)} already colored")
-        for x in e:
-            other = self._at[x].get(color)
-            if other is not None:
-                raise ColoringError(
-                    f"color {color} already present at vertex {x} "
-                    f"on edge {tuple(make_edge(x, other))}"
-                )
-        self._edge_color[e] = color
-        self._at[e.u][color] = e.v
-        self._at[e.v][color] = e.u
+        at = self.at
+        iu, iv = u * p + color, v * p + color
+        if at[iu] >= 0 or at[iv] >= 0:
+            x = u if at[iu] >= 0 else v
+            raise ColoringError(
+                f"color {color} already present at vertex {x} "
+                f"on edge {tuple(make_edge(x, at[x * p + color]))}"
+            )
+        self.edge_color[e] = color
+        at[iu] = v
+        at[iv] = u
 
     def unassign(self, a: int, b: int) -> int:
         e = make_edge(a, b)
-        if e not in self._edge_color:
+        if e not in self.edge_color:
             raise ColoringError(f"edge {tuple(e)} is not colored")
-        color = self._edge_color.pop(e)
-        del self._at[e.u][color]
-        del self._at[e.v][color]
+        color = self.edge_color.pop(e)
+        p = self.palette_size
+        self.at[e.u * p + color] = -1
+        self.at[e.v * p + color] = -1
         return color
 
     def assignment(self) -> dict[Edge, int]:
-        return dict(self._edge_color)
+        return dict(self.edge_color)
 
     def items(self):
-        return self._edge_color.items()
+        return self.edge_color.items()
 
     def __len__(self) -> int:
-        return len(self._edge_color)
+        return len(self.edge_color)
 
     def uncolored(self) -> list[Edge]:
-        return sorted(self.graph.edge_set - self._edge_color.keys())
+        return sorted(self.graph.edge_set - self.edge_color.keys())
 
     def is_total(self) -> bool:
-        return len(self._edge_color) == self.graph.edge_count
+        return len(self.edge_color) == self.graph.edge_count
 
     def colors_used(self) -> int:
-        return len(set(self._edge_color.values()))
+        return len(set(self.edge_color.values()))
 
     def swap_path_colors(self, vertices, a: int, b: int) -> None:
         """In-place a <-> b swap along consecutive colored edges of a path.
@@ -158,19 +173,20 @@ class EdgeColoring:
         edges = [make_edge(x, y) for x, y in zip(vertices, vertices[1:])]
         olds = []
         for e in edges:
-            color = self._edge_color[e]
+            color = self.edge_color[e]
             if color not in (a, b):
                 raise ColoringError(f"edge {tuple(e)} carries color {color}, not {a} or {b}")
             olds.append(color)
-        for e, c in zip(edges, olds):
-            del self._edge_color[e]
-            del self._at[e.u][c]
-            del self._at[e.v][c]
+        p = self.palette_size
+        at = self.at
+        for (u, v), c in zip(edges, olds):
+            at[u * p + c] = -1
+            at[v * p + c] = -1
         for e, c in zip(edges, olds):
             new = b if c == a else a
-            self._edge_color[e] = new
-            self._at[e.u][new] = e.v
-            self._at[e.v][new] = e.u
+            self.edge_color[e] = new
+            at[e.u * p + new] = e.v
+            at[e.v * p + new] = e.u
 
     def __repr__(self) -> str:
         return (

@@ -8,11 +8,14 @@ each trade is realized by at most one Kempe path inversion. The working graph
 keeps a constant number of colored edges until the final surplus deletion, so
 every color class stays a near-perfect matching throughout.
 
-The trade schedule escalates: direct recolor, depth-1 Kempe exchange over all
-color pairs, bounded sacrifice chains (temporarily removing target edges, as
-deeper conflicts require), seeded random scrambles, and finally deeper chains
-under a node budget. Failure is reported with diagnostics and proves nothing
-about the target's chromatic index.
+The trades run as one drain: each missing target edge is brought in by a
+depth-1 Kempe exchange against some extra edge or, failing that, by a
+sacrifice chain that temporarily removes up to ``CHAIN_DEPTH`` target edges,
+all under a budget of ``NODE_BUDGET`` chain calls. The state works on the
+same ``EdgeColoring`` table as every other coloring. When the drain fails,
+``ExchangeFailure`` carries diagnostics and proves nothing about the
+target's chromatic index; ``color_power_graph`` then falls back to exact
+search.
 
 An attempt to trade a colored edge r (color x) for an absent edge t = (u, v)
 removes r and then looks for a color missing at both u and v, or for a pair
@@ -38,13 +41,11 @@ the path from v ends at u, the path from u ends at v and fails too.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from . import oracle
 from .coloring import (
-    ColoringError,
     EdgeColoring,
     restrict_coloring,
     rotation_classes,
@@ -53,7 +54,7 @@ from .coloring import (
 )
 from .groups import Group
 from .overfull import ClassPrediction, OverfullReport, deficiency_report, predict_class
-from .powergraph import Edge, Graph, build_power_graph, make_edge, max_degree
+from .powergraph import Edge, Graph, build_power_graph, complete_graph, make_edge, max_degree
 
 __all__ = [
     "ExchangeFailure",
@@ -66,13 +67,17 @@ __all__ = [
     "exchange_edge",
 ]
 
+# Sacrifice-chain depth and chain-call budget of the drain.
+CHAIN_DEPTH = 3
+NODE_BUDGET = 200_000
+
 
 class ExchangeStepError(RuntimeError):
     """A single exchange step could not be realized at depth 1."""
 
 
 class ExchangeFailure(RuntimeError):
-    """The exchange schedule exhausted its budget; carries diagnostics."""
+    """The exchange drain got stuck or spent its budget; carries diagnostics."""
 
     def __init__(self, remaining_extra, remaining_missing, stats):
         self.remaining_extra = tuple(remaining_extra)
@@ -84,34 +89,28 @@ class ExchangeFailure(RuntimeError):
         )
 
 
-class ExchangeState:
-    """Mutable working coloring over a shifting edge set.
+class ExchangeState(EdgeColoring):
+    """The working coloring: an ``EdgeColoring`` of K_n over a shifting edge set.
 
     ``extra`` holds colored edges absent from the target; ``missing`` holds
-    target edges not currently in the working graph. Inversions and exchanges
-    keep the coloring proper; |extra| - |missing| is invariant. The color
-    table is flat: ``at[v * palette + c]`` is the vertex joined to v by color
-    c, or -1 when v misses c. ``_order`` keeps ``extra`` sorted, so the drain
-    ranks an edge by bisection instead of sorting.
+    target edges not currently colored. Inversions and exchanges keep the
+    coloring proper; |extra| - |missing| is invariant. ``_order`` keeps
+    ``extra`` sorted, so the drain ranks an edge by bisection instead of
+    sorting.
     """
 
-    __slots__ = (
-        "n", "palette", "target", "edge_color", "at", "extra", "missing", "stats", "_order",
-    )
+    __slots__ = ("target", "extra", "missing", "stats", "_order")
 
     def __init__(self, target: Graph):
         n = target.n
         if n < 3 or n % 2 == 0:
             raise ValueError(f"exchange transform needs odd order >= 3, got n={n}")
-        self.n = n
-        self.palette = n - 1
-        self.target = target.edge_set
-        self.edge_color: dict[Edge, int] = {}
-        self.at: list[int] = [-1] * (n * self.palette)
+        super().__init__(complete_graph(n), n - 1)
         # the rotation base: classes S_1..S_{n-1} on colors 0..n-2, S_n left out
         for color, cls in enumerate(rotation_classes(n)[:-1]):
-            for e in cls:
-                self._place(e, color)
+            for u, v in cls:
+                self.assign(u, v, color)
+        self.target = target.edge_set
         self.extra = {e for e in self.edge_color if e not in self.target}
         self.missing = {e for e in self.target if e not in self.edge_color}
         self._order = sorted(self.extra)
@@ -122,35 +121,10 @@ class ExchangeState:
             "inversions": 0,
             "chain_calls": 0,
             "restores": 0,
-            "scrambles": 0,
         }
 
-    def neighbor_at(self, v: int, color: int) -> int | None:
-        w = self.at[v * self.palette + color]
-        return None if w < 0 else w
-
-    def missing_colors(self, v: int) -> set[int]:
-        return set(_missing(self.at, v * self.palette, self.palette))
-
-    def _place(self, e: Edge, color: int) -> None:
-        """Color an absent edge, refusing clashes; leaves ``extra``/``missing`` alone."""
-        if e in self.edge_color:
-            raise ColoringError(f"edge {tuple(e)} already in the working graph")
-        p = self.palette
-        if not 0 <= color < p:
-            raise ColoringError(f"color {color} outside palette 0..{p - 1}")
-        u, v = e
-        if self.at[u * p + color] >= 0 or self.at[v * p + color] >= 0:
-            raise ColoringError(f"color {color} clashes at an endpoint of {tuple(e)}")
-        self.edge_color[e] = color
-        self.at[u * p + color] = v
-        self.at[v * p + color] = u
-
     def remove_edge(self, e: Edge) -> int:
-        color = self.edge_color.pop(e)
-        p = self.palette
-        self.at[e.u * p + color] = -1
-        self.at[e.v * p + color] = -1
+        color = self.unassign(e.u, e.v)
         if e in self.target:
             self.missing.add(e)
         else:
@@ -159,60 +133,12 @@ class ExchangeState:
         return color
 
     def add_edge(self, e: Edge, color: int) -> None:
-        self._place(e, color)
+        self.assign(e.u, e.v, color)
         if e in self.target:
             self.missing.discard(e)
         else:
             self.extra.add(e)
             insort(self._order, e)
-
-    def invert_path(self, vertices: list[int], a: int, b: int) -> None:
-        """Swap colors a <-> b along consecutive edges of an open alternating path."""
-        p = self.palette
-        at = self.at
-        edges = [make_edge(x, y) for x, y in zip(vertices, vertices[1:])]
-        olds = [self.edge_color[e] for e in edges]
-        for (u, v), c in zip(edges, olds):
-            at[u * p + c] = -1
-            at[v * p + c] = -1
-        for (u, v), c in zip(edges, olds):
-            new = b if c == a else a
-            self.edge_color[Edge(u, v)] = new
-            at[u * p + new] = v
-            at[v * p + new] = u
-        self.stats["inversions"] += 1
-
-    def invert_cycle(self, vertices: list[int], a: int, b: int) -> None:
-        """Swap colors around a closed alternating cycle (wraps last -> first)."""
-        self.invert_path(vertices + [vertices[0]], a, b)
-
-    def scramble(self, rng: random.Random, steps: int) -> None:
-        """Random maximal two-color component inversions; properness is preserved."""
-        p = self.palette
-        for _ in range(steps):
-            v = rng.randrange(self.n)
-            a, b = rng.sample(range(p), 2)
-            has_a = self.at[v * p + a] >= 0
-            has_b = self.at[v * p + b] >= 0
-            if not has_a and not has_b:
-                continue
-            if has_a and has_b:
-                verts, closed = walk_alternating(self.neighbor_at, v, a, b)
-                if closed:
-                    self.invert_cycle(verts, a, b)
-                    continue
-                # v is interior to a path: restart from the far end for maximality
-                end = verts[-1]
-                start = a if self.at[end * p + a] >= 0 else b
-                other = b if start == a else a
-                verts, _ = walk_alternating(self.neighbor_at, end, start, other)
-                self.invert_path(verts, a, b)
-            else:
-                first = a if has_a else b
-                second = b if has_a else a
-                verts, _ = walk_alternating(self.neighbor_at, v, first, second)
-                self.invert_path(verts, a, b)
-        self.stats["scrambles"] += 1
 
     def snapshot(self):
         return (
@@ -232,7 +158,7 @@ class ExchangeState:
         self.stats["restores"] += 1
 
     def to_coloring(self, target: Graph) -> EdgeColoring:
-        out = EdgeColoring(target, self.palette)
+        out = EdgeColoring(target, self.palette_size)
         edge_color = self.edge_color
         for e in sorted(edge_color):
             out.assign(e.u, e.v, edge_color[e])
@@ -257,7 +183,7 @@ def _plan(state: ExchangeState, add: Edge) -> tuple[int, int] | None:
     (alpha, beta) when inverting the alpha/beta path from v frees alpha at v
     (the first such pair in sorted order); None when neither exists.
     """
-    at, p = state.at, state.palette
+    at, p = state.at, state.palette_size
     u, v = add
     missing_u = _missing(at, u * p, p)
     missing_v = _missing(at, v * p, p)
@@ -289,7 +215,7 @@ def _attempt_exchange(state: ExchangeState, remove: Edge, add: Edge) -> bool:
     On success the state is updated; on failure it is left exactly as found.
     """
     state.stats["attempts"] += 1
-    at, p = state.at, state.palette
+    at, p = state.at, state.palette_size
     x = state.edge_color[remove]
     a, b = remove
     # plan with ``remove`` lifted out of the table; put it back when there is no plan
@@ -306,7 +232,8 @@ def _attempt_exchange(state: ExchangeState, remove: Edge, add: Edge) -> bool:
         state.stats["direct"] += 1
     else:
         verts, _ = walk_alternating(state.neighbor_at, add.v, color, beta)
-        state.invert_path(verts, color, beta)
+        state.swap_path_colors(verts, color, beta)
+        state.stats["inversions"] += 1
     state.add_edge(add, color)
     state.stats["exchanges"] += 1
     return True
@@ -348,7 +275,7 @@ class _Limits:
 def _sacrifice_candidates(state: ExchangeState, t: Edge, limits: _Limits) -> list[Edge]:
     out: list[Edge] = []
     seen = set()
-    p = state.palette
+    p = state.palette_size
     for w in t:
         for x in state.at[w * p:(w + 1) * p]:
             if x < 0:
@@ -367,7 +294,7 @@ def _relevant(state: ExchangeState, t: Edge) -> list[Edge]:
     These are the extra edges at an endpoint of t and those whose color is
     missing at an endpoint; removing any other extra edge changes no walk.
     """
-    at, p, extra = state.at, state.palette, state.extra
+    at, p, extra = state.at, state.palette_size, state.extra
     out = set()
     for w in t:
         base = w * p
@@ -431,27 +358,15 @@ def _drain(state: ExchangeState, depth: int, limits: _Limits) -> bool:
     return True
 
 
-def exchange_coloring(
-    target: Graph,
-    n: int | None = None,
-    *,
-    seed: int = 0,
-    chain_depth: int = 3,
-    restart_limit: int = 12,
-    deep_depth: int = 5,
-    node_budget: int = 200_000,
-) -> EdgeColoring:
+def exchange_coloring(target: Graph) -> EdgeColoring:
     """Total (n-1)-edge-coloring of an odd-order target with a full-degree vertex.
 
     The target must not be overfull (edge_count <= (n-1) * floor(n/2)); an
-    overfull target cannot be colored in n-1 colors at all. Deterministic for
-    a fixed seed. Raises ExchangeFailure when the whole escalation ladder is
-    exhausted, which proves nothing about the target.
+    overfull target cannot be colored in n-1 colors at all. Deterministic.
+    Raises ExchangeFailure when the drain gets stuck or spends its node
+    budget, which proves nothing about the target.
     """
-    if n is None:
-        n = target.n
-    if n != target.n:
-        raise ValueError(f"declared order {n} does not match the target ({target.n})")
+    n = target.n
     if n < 3 or n % 2 == 0:
         raise ValueError(f"exchange transform needs odd order >= 3, got n={n}")
     if max_degree(target) != n - 1:
@@ -463,21 +378,8 @@ def exchange_coloring(
         )
 
     state = ExchangeState(target)
-    if not _drain(state, chain_depth, _Limits(node_budget)):
-        rng = random.Random(seed)
-        done = False
-        for _ in range(restart_limit):
-            state.scramble(rng, 2 * n)
-            if _drain(state, chain_depth, _Limits(node_budget)):
-                done = True
-                break
-        if not done:
-            fresh = ExchangeState(target)
-            if _drain(fresh, deep_depth, _Limits(4 * node_budget)):
-                state = fresh
-                done = True
-        if not done:
-            raise ExchangeFailure(sorted(state.extra), sorted(state.missing), state.stats)
+    if not _drain(state, CHAIN_DEPTH, _Limits(NODE_BUDGET)):
+        raise ExchangeFailure(sorted(state.extra), sorted(state.missing), state.stats)
     for e in state._order[::-1]:  # last first: each deletion from the side list is O(1)
         state.remove_edge(e)
     return state.to_coloring(target)
@@ -504,13 +406,7 @@ class GroupColoring:
     stats: dict
 
 
-def color_power_graph(
-    group: Group,
-    *,
-    strategy: str = "auto",
-    seed: int = 0,
-    oracle_budget: int = oracle.DEFAULT_NODE_BUDGET,
-) -> GroupColoring:
+def color_power_graph(group: Group, *, strategy: str = "auto") -> GroupColoring:
     """Color the power graph with max_degree colors when class 1, one more when class 2.
 
     Dispatch for "auto": even order restricts the K_n round robin; odd cyclic
@@ -536,13 +432,13 @@ def color_power_graph(
         if prediction.class_label == "class2":
             return _color_rotation(group, graph, prediction)
         try:
-            coloring = exchange_coloring(graph, seed=seed)
+            coloring = exchange_coloring(graph)
             return GroupColoring(
                 group.label, graph, coloring, "class1", "rhee",
                 coloring.colors_used(), prediction, None, {},
             )
         except ExchangeFailure as failure:
-            result = _color_exact(group, graph, prediction, oracle_budget)
+            result = _color_exact(group, graph, prediction)
             result.stats["exchange_failure"] = {
                 "remaining_extra": len(failure.remaining_extra),
                 "remaining_missing": len(failure.remaining_missing),
@@ -557,12 +453,12 @@ def color_power_graph(
             raise ValueError("sp strategy needs an odd group order >= 3")
         return _color_rotation(group, graph, prediction)
     if strategy == "rhee":
-        coloring = exchange_coloring(graph, seed=seed)
+        coloring = exchange_coloring(graph)
         return GroupColoring(
             group.label, graph, coloring, "class1", "rhee",
             coloring.colors_used(), prediction, None, {},
         )
-    return _color_exact(group, graph, prediction, oracle_budget)
+    return _color_exact(group, graph, prediction)
 
 
 def _color_round_robin(group: Group, graph: Graph, prediction: ClassPrediction) -> GroupColoring:
@@ -588,11 +484,9 @@ def _color_rotation(group: Group, graph: Graph, prediction: ClassPrediction) -> 
     )
 
 
-def _color_exact(
-    group: Group, graph: Graph, prediction: ClassPrediction, budget: int
-) -> GroupColoring:
+def _color_exact(group: Group, graph: Graph, prediction: ClassPrediction) -> GroupColoring:
     delta = max_degree(graph)
-    result = oracle.is_k_edge_colorable(graph, delta, budget)
+    result = oracle.is_k_edge_colorable(graph, delta)
     if result.status == "yes":
         return GroupColoring(
             group.label, graph, result.witness, "class1", "exact",

@@ -42,10 +42,15 @@ class Edge(NamedTuple):
     v: int
 
 
+# What Edge(a, b) does, less its Python-level constructor: make_edge runs once per
+# edge in every layer.
+_new_tuple = tuple.__new__
+
+
 def make_edge(a: int, b: int) -> Edge:
     if a == b:
         raise ValueError(f"loop edge ({a}, {b}) is not allowed")
-    return Edge(a, b) if a < b else Edge(b, a)
+    return _new_tuple(Edge, (a, b) if a < b else (b, a))
 
 
 class Graph:
@@ -120,7 +125,12 @@ class Graph:
 
 
 def complete_graph(n: int, labels=None) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], labels)
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    full = (1 << n) - 1
+    graph = Graph.__new__(Graph)
+    graph._adopt_bits([full ^ (1 << v) for v in range(n)], labels)
+    return graph
 
 
 def build_power_graph(group: Group) -> Graph:
@@ -205,9 +215,14 @@ def graph_from_json(text: str) -> Graph:
         isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
     ):
         raise ValueError('graph JSON "edges" must be a list of [u, v] integer pairs')
-    if labels is not None and not isinstance(labels, list):
-        raise ValueError('graph JSON "labels" must be a list')
-    return Graph(n, [tuple(e) for e in edges], labels)
+    if labels is not None and not (
+        isinstance(labels, list) and all(type(s) is str for s in labels)
+    ):
+        raise ValueError('graph JSON "labels" must be a list of strings')
+    graph = Graph(n, [tuple(e) for e in edges], labels)
+    if graph.edge_count != len(edges):
+        raise ValueError("graph JSON lists an edge twice")
+    return graph
 
 
 def graph_to_dot(graph: Graph, coloring=None, display_labels: bool = False) -> str:

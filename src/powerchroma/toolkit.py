@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import oracle
@@ -196,8 +195,6 @@ def survey_group(
     *,
     witness: bool = False,
     oracle_max_order: int = 0,
-    seed: int = 0,
-    oracle_budget: int = oracle.DEFAULT_NODE_BUDGET,
     group: Group | None = None,
 ) -> ClassReport:
     started = time.perf_counter()
@@ -210,7 +207,7 @@ def survey_group(
 
     witness_info = None
     if witness:
-        result = color_power_graph(group, seed=seed, oracle_budget=oracle_budget)
+        result = color_power_graph(group)
         check = verify_proper(graph, result.coloring)
         witness_info = WitnessInfo(
             colors_used=result.coloring.colors_used(),
@@ -222,7 +219,7 @@ def survey_group(
 
     oracle_info = None
     if group.order <= oracle_max_order:
-        exact = oracle.exact_chromatic_index(graph, oracle_budget)
+        exact = oracle.exact_chromatic_index(graph)
         expected = report.max_degree + (1 if prediction.class_label == "class2" else 0)
         oracle_info = OracleInfo(
             chromatic_index=exact.chromatic_index,
@@ -298,28 +295,13 @@ def run_survey(
     *,
     witness: bool = False,
     oracle_max_order: int = 0,
-    seed: int = 0,
-    jobs: int = 1,
-    oracle_budget: int = oracle.DEFAULT_NODE_BUDGET,
     extra_specs: tuple[str, ...] = (),
 ) -> SurveyResult:
     """Classify every catalog group; reports are sorted and fully deterministic."""
-    specs = list(catalog.specs) + list(extra_specs)
-
-    def work(spec: str) -> ClassReport:
-        return survey_group(
-            spec,
-            witness=witness,
-            oracle_max_order=oracle_max_order,
-            seed=seed,
-            oracle_budget=oracle_budget,
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(work, specs))
-    else:
-        reports = [work(spec) for spec in specs]
+    reports = [
+        survey_group(spec, witness=witness, oracle_max_order=oracle_max_order)
+        for spec in list(catalog.specs) + list(extra_specs)
+    ]
     reports.sort(key=lambda r: (r.order, r.spec))
 
     mismatches: list[str] = []
@@ -330,7 +312,6 @@ def run_survey(
             "max_order": catalog.max_order,
             "witness": witness,
             "oracle_max_order": oracle_max_order,
-            "seed": seed,
             "extra_specs": list(extra_specs),
         },
         reports=reports,

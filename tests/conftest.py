@@ -79,8 +79,8 @@ def reference_attempt_exchange(state, remove, add) -> bool:
     state.stats["attempts"] += 1
     x = state.remove_edge(remove)
     u, v = add
-    missing_u = state.missing_colors(u)
-    missing_v = state.missing_colors(v)
+    missing_u = state.missing_at(u)
+    missing_v = state.missing_at(v)
     shared = missing_u & missing_v
     if shared:
         state.add_edge(add, min(shared))
@@ -91,13 +91,15 @@ def reference_attempt_exchange(state, remove, add) -> bool:
         for beta in sorted(missing_v):
             verts, closed = walk_alternating(state.neighbor_at, v, alpha, beta)
             if not closed and verts[-1] != u:
-                state.invert_path(verts, alpha, beta)
+                state.swap_path_colors(verts, alpha, beta)
+                state.stats["inversions"] += 1
                 state.add_edge(add, alpha)
                 state.stats["exchanges"] += 1
                 return True
             verts, closed = walk_alternating(state.neighbor_at, u, beta, alpha)
             if not closed and verts[-1] != v:
-                state.invert_path(verts, beta, alpha)
+                state.swap_path_colors(verts, beta, alpha)
+                state.stats["inversions"] += 1
                 state.add_edge(add, beta)
                 state.stats["exchanges"] += 1
                 return True

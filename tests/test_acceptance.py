@@ -177,7 +177,7 @@ def test_criterion_5_reference_tables():
 def _as_coloring(state: ExchangeState):
     from powerchroma import EdgeColoring
 
-    out = EdgeColoring(complete_graph(state.n), state.palette)
+    out = EdgeColoring(complete_graph(state.graph.n), state.palette_size)
     for e, c in sorted(state.edge_color.items()):
         out.assign(e.u, e.v, c)
     return out

@@ -197,26 +197,29 @@ class TestSurvey:
         assert first == second
 
 
-class TestSeedEnv:
-    def test_env_var_sets_default_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("POWERCHROMA_SEED", "11")
-        code, out, _ = run(capsys, "color", "cyclic:15")
-        assert code == 0
-        assert json.loads(out)["verified"] is True
+class TestFlagErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("survey", "--max-order", "abc"),
+            ("color", "cyclic:15", "--seed", "3"),
+            ("survey", "--max-order", "3", "--oracle-max-order", "-4"),
+        ],
+    )
+    def test_one_line_and_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert info.value.code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
-    def test_garbage_env_var_is_one_line_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("POWERCHROMA_SEED", "not-a-number")
-        for argv in (["color", "cyclic:15"], ["survey", "--max-order", "3"]):
-            code, out, err = run(capsys, *argv)
-            assert code == 1
-            assert out == ""
-            assert err == "error: POWERCHROMA_SEED must be an integer, got 'not-a-number'\n"
-
-    def test_seed_flag_overrides_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("POWERCHROMA_SEED", "not-a-number")
-        code, out, _ = run(capsys, "color", "cyclic:15", "--seed", "3")
-        assert code == 0
-        assert json.loads(out)["verified"] is True
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["survey", "--help"])
+        assert info.value.code == 0
+        assert "--max-order" in capsys.readouterr().out
 
 
 class TestModuleEntry:

@@ -87,6 +87,30 @@ class TestVerify:
             coloring.assign(0, 2, 5)  # out of palette
         with pytest.raises(ColoringError):
             EdgeColoring(Graph(3, [(0, 1)]), 2).assign(0, 2, 0)  # not an edge
+        for a, b in ((-1, 2), (2, -1), (1, 3), (3, 4)):
+            with pytest.raises(ColoringError, match="not in the graph"):
+                coloring.assign(a, b, 1)  # a vertex out of range
+        with pytest.raises(ColoringError, match="vertex 1 on edge \\(0, 1\\)"):
+            coloring.assign(2, 1, 0)  # clashes at the second endpoint
+
+    def test_lookups_follow_assign_unassign_and_swap(self):
+        coloring = EdgeColoring(complete_graph(4), 3)
+        coloring.assign(0, 1, 0)
+        coloring.assign(1, 2, 1)
+        assert coloring.neighbor_at(1, 0) == 0 and coloring.neighbor_at(1, 1) == 2
+        assert coloring.neighbor_at(1, 2) is None
+        # colors outside the palette are absent, never read from another row
+        assert coloring.neighbor_at(0, 3) is None and coloring.neighbor_at(2, -2) is None
+        assert coloring.colors_at(1) == {0, 1} and coloring.missing_at(1) == {2}
+        before = coloring.copy()
+        coloring.swap_path_colors([0, 1, 2], 0, 1)
+        assert coloring.assignment() == {make_edge(0, 1): 1, make_edge(1, 2): 0}
+        assert coloring.neighbor_at(0, 1) == 1 and coloring.missing_at(0) == {0, 2}
+        assert before.color_of(0, 1) == 0 and before.neighbor_at(0, 0) == 1
+        assert coloring.unassign(2, 1) == 0
+        assert coloring.missing_at(2) == {0, 1, 2} and coloring.neighbor_at(1, 0) is None
+        with pytest.raises(ColoringError):
+            coloring.unassign(1, 2)
 
 
 class TestRoundRobin:

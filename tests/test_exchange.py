@@ -5,6 +5,7 @@ import random
 import pytest
 
 from powerchroma import (
+    EdgeColoring,
     ExchangeFailure,
     ExchangeState,
     ExchangeStepError,
@@ -30,9 +31,9 @@ from conftest import reference_attempt_exchange, reference_drain
 
 def check_state(state: ExchangeState) -> None:
     """Independent invariants: proper, bookkeeping consistent with the edge set."""
-    at = [dict() for _ in range(state.n)]
+    at = [dict() for _ in range(state.graph.n)]
     for e, c in state.edge_color.items():
-        assert 0 <= c < state.palette
+        assert 0 <= c < state.palette_size
         for x in e:
             assert c not in at[x], f"color {c} duplicated at vertex {x}"
             at[x][c] = e
@@ -79,6 +80,14 @@ class TestExchangeState:
     def test_even_order_rejected(self):
         with pytest.raises(ValueError):
             ExchangeState(complete_graph(4))
+
+    def test_is_an_edge_coloring_of_the_complete_graph(self):
+        state = ExchangeState(build_power_graph(construct_group("cyclic:15")))
+        assert isinstance(state, EdgeColoring)
+        assert state.graph.edge_set == complete_graph(15).edge_set
+        assert state.palette_size == 14
+        report = verify_assignment(state.graph, state.assignment(), 14)
+        assert not report.conflicts and len(report.uncolored) == 7
 
 
 class TestExchangeEdge:
@@ -222,21 +231,19 @@ class TestExchangeColoring:
         with pytest.raises(ValueError, match="adjacent"):
             exchange_coloring(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
 
-    def test_order_mismatch_rejected(self):
-        graph = build_power_graph(construct_group("cyclic:15"))
-        with pytest.raises(ValueError):
-            exchange_coloring(graph, 17)
-
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         graph = build_power_graph(construct_group("cyclic:21"))
-        first = exchange_coloring(graph, seed=7)
-        second = exchange_coloring(graph, seed=7)
+        first = exchange_coloring(graph)
+        second = exchange_coloring(graph)
         assert first.assignment() == second.assignment()
 
-    def test_exhausted_ladder_reports_diagnostics(self):
+    def test_exhausted_ladder_reports_diagnostics(self, monkeypatch):
+        import powerchroma.exchange as exchange_module
+
+        monkeypatch.setattr(exchange_module, "NODE_BUDGET", 0)
         graph = build_power_graph(construct_group("cyclic:15"))
         with pytest.raises(ExchangeFailure) as err:
-            exchange_coloring(graph, node_budget=0, restart_limit=1)
+            exchange_coloring(graph)
         assert err.value.remaining_missing  # diagnostics carried
         assert err.value.stats["attempts"] >= 0
 

@@ -184,6 +184,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(2, [(0, 1)], labels=["a"])
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_complete_graph_matches_edge_list(self, n):
+        fast = complete_graph(n)
+        slow = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        assert fast.n == slow.n
+        assert fast.neighbors == slow.neighbors
+        assert fast.bits == slow.bits
+        assert fast.edge_count == slow.edge_count
+        assert fast.labels == slow.labels
+        assert fast.edge_set == slow.edge_set
+
     def test_edge_count_is_half_degree_sum(self):
         graph = build_power_graph(construct_group("dihedral:5"))
         assert sum(graph.degree(v) for v in range(graph.n)) == 2 * graph.edge_count
@@ -206,7 +217,14 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"n": 3}', '{"n": 2, "edges": [[0]]}', '{"n": "a", "edges": []}', "[]"],
+        [
+            '{"n": 3}',
+            '{"n": 2, "edges": [[0]]}',
+            '{"n": "a", "edges": []}',
+            "[]",
+            '{"n": 3, "edges": [], "labels": [null, 1, {"a": 2}]}',
+            '{"n": 2, "edges": [[0, 1], [1, 0]]}',
+        ],
     )
     def test_json_malformed_is_value_error(self, text):
         with pytest.raises(ValueError) as info:

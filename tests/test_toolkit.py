@@ -75,14 +75,9 @@ class TestSurvey:
                 assert report.oracle is not None and report.oracle.agrees
 
     def test_byte_identical_output(self):
-        first = run_survey(generate_catalog(12), witness=True, oracle_max_order=8, seed=3)
-        second = run_survey(generate_catalog(12), witness=True, oracle_max_order=8, seed=3)
+        first = run_survey(generate_catalog(12), witness=True, oracle_max_order=8)
+        second = run_survey(generate_catalog(12), witness=True, oracle_max_order=8)
         assert first.to_json() == second.to_json()
-
-    def test_parallel_matches_serial(self):
-        serial = run_survey(generate_catalog(15), witness=True)
-        threaded = run_survey(generate_catalog(15), witness=True, jobs=4)
-        assert serial.to_json() == threaded.to_json()
 
     def test_timing_only_on_request(self):
         result = run_survey(generate_catalog(4))
