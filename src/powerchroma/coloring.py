@@ -19,9 +19,10 @@ import io
 import json
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
-from .powergraph import Edge, Graph, complete_graph, make_edge, display_vertex
+from .powergraph import Edge, Graph, _json_array, complete_graph, make_edge, display_vertex
 
 __all__ = [
     "ColorConflict",
@@ -153,9 +154,6 @@ class EdgeColoring:
     def __len__(self) -> int:
         return len(self.edge_color)
 
-    def uncolored(self) -> list[Edge]:
-        return sorted(self.graph.edge_set - self.edge_color.keys())
-
     def is_total(self) -> bool:
         return len(self.edge_color) == self.graph.edge_count
 
@@ -243,40 +241,47 @@ class VerificationReport:
 
 
 def verify_assignment(graph: Graph, mapping: dict, palette_size: int) -> VerificationReport:
-    """Independent properness check of a raw edge -> color mapping."""
+    """Independent properness check of a raw edge -> integer color mapping."""
+    n, bits = graph.n, graph.bits
+    twice: list[ColorConflict] = []
     conflicts: list[ColorConflict] = []
     foreign: list[Edge] = []
     out_of_palette: list[tuple[Edge, int]] = []
-    first_at: dict[tuple[int, int], Edge] = {}
-    normalized: dict[Edge, int] = {}
-    entries = sorted(((make_edge(*k), c) for k, c in mapping.items()), key=lambda kc: kc[0])
-    for e, color in entries:
-        if e in normalized:
-            # the same edge listed twice, as (u, v) and (v, u)
-            conflicts.append(ColorConflict(e.u, color, e, e))
-        else:
-            normalized[e] = color
-    for e, color in normalized.items():
-        if not (0 <= e.u < graph.n and 0 <= e.v < graph.n) or not graph.has_edge(e.u, e.v):
+    first_at: dict[int, Edge] = {}  # color * n + x: unique, as 0 <= x < n
+    colors = set()
+    prev = None
+    # canonical Edge keys (what the parsers and EdgeColoring hold) skip make_edge
+    entries = [
+        (k if type(k) is Edge and k[0] < k[1] else make_edge(*k), c) for k, c in mapping.items()
+    ]
+    # stable on the edge alone: of (u, v) and (v, u), the first listed keeps its color
+    for e, color in sorted(entries, key=itemgetter(0)):
+        if e == prev:
+            twice.append(ColorConflict(e.u, color, e, e))
+            continue
+        prev = e
+        u, v = e
+        if u < 0 or v >= n or not bits[u] >> v & 1:
             foreign.append(e)
             continue
+        colors.add(color)
         if not 0 <= color < palette_size:
             out_of_palette.append((e, color))
         for x in e:
-            prev = first_at.get((x, color))
-            if prev is None:
-                first_at[(x, color)] = e
-            else:
-                conflicts.append(ColorConflict(x, color, prev, e))
-    foreign_set = set(foreign)
-    colored = {e for e in normalized if e not in foreign_set}
-    uncolored = tuple(sorted(graph.edge_set - colored))
+            first = first_at.setdefault(color * n + x, e)  # e itself when x lacked color
+            if first is not e:
+                conflicts.append(ColorConflict(x, color, first, e))
+    colored = len(mapping) - len(twice) - len(foreign)
+    uncolored = ()
+    if colored != graph.edge_count:  # colored edges are a subset of E
+        listed = {make_edge(*k) for k in mapping}
+        uncolored = tuple(e for e in graph.edges() if e not in listed)
     return VerificationReport(
-        n=graph.n,
+        n=n,
         palette_size=palette_size,
-        colored_count=len(colored),
-        distinct_colors=len({normalized[e] for e in colored}) if colored else 0,
-        conflicts=tuple(conflicts),
+        colored_count=colored,
+        distinct_colors=len(colors),
+        conflicts=tuple(twice + conflicts),
         uncolored=uncolored,
         foreign_edges=tuple(foreign),
         out_of_palette=tuple(out_of_palette),
@@ -285,7 +290,7 @@ def verify_assignment(graph: Graph, mapping: dict, palette_size: int) -> Verific
 
 def verify_proper(graph: Graph, coloring: EdgeColoring) -> VerificationReport:
     """Check a coloring against a graph; valid means total, proper, in palette."""
-    return verify_assignment(graph, coloring.assignment(), coloring.palette_size)
+    return verify_assignment(graph, coloring.edge_color, coloring.palette_size)
 
 
 def coloring_from_mapping(graph: Graph, mapping: dict, palette_size: int) -> EdgeColoring:
@@ -476,11 +481,13 @@ def coloring_to_csv(coloring: EdgeColoring) -> str:
 
 def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
     """Parse a table back into (palette_size, internal edge -> 0-based color)."""
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ColoringError("empty coloring table") from None
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # an overlong cell, a bare carriage return
+        raise ColoringError(f"coloring table does not parse: {exc}") from None
+    if not rows:
+        raise ColoringError("empty coloring table")
+    header = rows[0]
     try:
         colors = [int(h) for h in header if h.strip()]
     except ValueError as exc:
@@ -489,7 +496,7 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
         raise ColoringError(f"header must count colors 1..k, got {colors}")
     palette = len(colors)
     mapping: dict[Edge, int] = {}
-    for row in reader:
+    for row in rows[1:]:
         for idx, cell in enumerate(row):
             cell = cell.strip()
             if not cell:
@@ -510,14 +517,13 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
 
 
 def coloring_to_json(coloring: EdgeColoring) -> str:
-    payload = {
-        "n": coloring.graph.n,
-        "palette": coloring.palette_size,
-        "edges": [
-            {"u": e.u, "v": e.v, "color": c + 1} for e, c in sorted(coloring.items())
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)``, from templates."""
+    edges = _json_array([
+        f'    {{\n      "color": {c + 1},\n      "u": {u},\n      "v": {v}\n    }}'
+        for (u, v), c in sorted(coloring.items())
+    ])
+    n, palette = coloring.graph.n, coloring.palette_size
+    return f'{{\n  "edges": {edges},\n  "n": {n},\n  "palette": {palette}\n}}'
 
 
 def parse_coloring_json(text: str) -> tuple[int, int, dict[Edge, int]]:
@@ -527,7 +533,7 @@ def parse_coloring_json(text: str) -> tuple[int, int, dict[Edge, int]]:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the stack
         raise ColoringError(f"coloring JSON does not parse: {exc}") from None
     if type(payload) is not dict:
         raise ColoringError("coloring JSON must be an object with n, palette and edges")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple
 
 from .groups import Group
@@ -56,7 +57,7 @@ def make_edge(a: int, b: int) -> Edge:
 class Graph:
     """Immutable simple graph with sorted neighbor sets and per-vertex bitmasks."""
 
-    __slots__ = ("n", "neighbors", "bits", "edge_count", "labels", "_edge_set")
+    __slots__ = ("n", "neighbors", "bits", "edge_count", "labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels=None):
         if n < 0:
@@ -88,24 +89,25 @@ class Graph:
             self.labels = tuple(str(s) for s in labels)
             if len(self.labels) != n:
                 raise ValueError("labels length does not match vertex count")
-        self._edge_set: frozenset[Edge] | None = None
 
     def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.bits[a] >> b & 1)
+        n = self.n
+        return 0 <= a < n and 0 <= b < n and bool(self.bits[a] >> b & 1)
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
         return len(self.neighbors[v])
 
     def edges(self) -> list[Edge]:
-        return sorted(make_edge(u, v) for u in range(self.n) for v in self.neighbors[u] if u < v)
+        """Every edge once, sorted: the rows are already in increasing order."""
+        return [
+            _new_tuple(Edge, (u, v)) for u, row in enumerate(self.neighbors) for v in row if u < v
+        ]
 
     @property
     def edge_set(self) -> frozenset[Edge]:
-        if self._edge_set is None:
-            self._edge_set = frozenset(
-                make_edge(u, v) for u in range(self.n) for v in self.neighbors[u] if u < v
-            )
-        return self._edge_set
+        return frozenset(self.edges())
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph plus the map from new indices back to parent vertices."""
@@ -194,33 +196,64 @@ def internal_vertex(label: int, n: int) -> int:
     return label % n
 
 
+def _json_array(items: list[str]) -> str:
+    """A top-level value as ``json.dumps(..., indent=2)`` writes it; items come indented by 4."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def graph_to_json(graph: Graph) -> str:
-    payload = {
-        "n": graph.n,
-        "edges": [[u, v] for u, v in graph.edges()],
-        "labels": list(graph.labels),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)``, from templates.
+
+    With ``indent``, CPython's json runs its pure-Python encoder, token by token.
+    """
+    edges = _json_array([f"    [\n      {u},\n      {v}\n    ]" for u, v in graph.edges()])
+    labels = _json_array([f"    {encode_basestring_ascii(s)}" for s in graph.labels])
+    return f'{{\n  "edges": {edges},\n  "labels": {labels},\n  "n": {graph.n}\n}}'
 
 
 def graph_from_json(text: str) -> Graph:
-    """Parse ``graph_to_json`` output; malformed input raises a one-line ValueError."""
-    payload = json.loads(text)
+    """Parse ``graph_to_json`` output; malformed input raises a one-line ValueError.
+
+    One pass over the edges checks their shape and fills the bitmasks. The message
+    is that of the first failing check: shape, labels type, negative n, the first
+    loop or out-of-range edge, labels length, an edge listed twice.
+    """
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("graph JSON is nested past the interpreter's stack") from None
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ValueError('graph JSON must be an object with "n" and "edges" keys')
     n, edges, labels = payload["n"], payload["edges"], payload.get("labels")
     if type(n) is not int:
         raise ValueError(f'graph JSON "n" must be an integer, got {n!r}')
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
-    ):
-        raise ValueError('graph JSON "edges" must be a list of [u, v] integer pairs')
-    if labels is not None and not (
-        isinstance(labels, list) and all(type(s) is str for s in labels)
-    ):
+    shape = 'graph JSON "edges" must be a list of [u, v] integer pairs'
+    if type(edges) is not list:
+        raise ValueError(shape)
+    bits = [0] * max(n, 0)
+    bad = None  # the first loop or out-of-range edge
+    twice = False
+    for e in edges:
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            raise ValueError(shape)
+        if bad is None:
+            a, b = e
+            if a == b or not (0 <= a < n and 0 <= b < n):
+                bad = e
+            elif bits[a] >> b & 1:
+                twice = True
+            else:
+                bits[a] |= 1 << b
+                bits[b] |= 1 << a
+    if labels is not None and not (type(labels) is list and all(type(s) is str for s in labels)):
         raise ValueError('graph JSON "labels" must be a list of strings')
-    graph = Graph(n, [tuple(e) for e in edges], labels)
-    if graph.edge_count != len(edges):
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    if bad is not None:  # make_edge raises first for a loop
+        raise ValueError(f"edge {make_edge(*bad)} out of range for n={n}")
+    graph = Graph.__new__(Graph)
+    graph._adopt_bits(bits, labels)
+    if twice:
         raise ValueError("graph JSON lists an edge twice")
     return graph
 

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
 
-from powerchroma import Graph, Group, GroupTableError, make_edge
+from powerchroma import (
+    ColorConflict,
+    Graph,
+    Group,
+    GroupTableError,
+    VerificationReport,
+    make_edge,
+)
 from powerchroma.coloring import walk_alternating
 from powerchroma.exchange import _sacrifice_candidates
 
@@ -139,6 +147,82 @@ def reference_drain(state, depth, limits) -> bool:
         else:
             return False
     return True
+
+
+def reference_graph_to_json(graph: Graph) -> str:
+    """The graph writer as first written, through ``json.dumps(indent=2)``."""
+    edges = sorted(make_edge(u, v) for u in range(graph.n) for v in graph.neighbors[u] if u < v)
+    payload = {"n": graph.n, "edges": [[u, v] for u, v in edges], "labels": list(graph.labels)}
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def reference_coloring_to_json(coloring) -> str:
+    """The coloring writer as first written, through ``json.dumps(indent=2)``."""
+    payload = {
+        "n": coloring.graph.n,
+        "palette": coloring.palette_size,
+        "edges": [{"u": e.u, "v": e.v, "color": c + 1} for e, c in sorted(coloring.items())],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def reference_graph_from_json(text: str) -> Graph:
+    """The graph reader as first written: shape checks, then ``Graph(n, edges)``."""
+    payload = json.loads(text)
+    if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
+        raise ValueError('graph JSON must be an object with "n" and "edges" keys')
+    n, edges, labels = payload["n"], payload["edges"], payload.get("labels")
+    if type(n) is not int:
+        raise ValueError(f'graph JSON "n" must be an integer, got {n!r}')
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+    ):
+        raise ValueError('graph JSON "edges" must be a list of [u, v] integer pairs')
+    if labels is not None and not (
+        isinstance(labels, list) and all(type(s) is str for s in labels)
+    ):
+        raise ValueError('graph JSON "labels" must be a list of strings')
+    graph = Graph(n, [tuple(e) for e in edges], labels)
+    if graph.edge_count != len(edges):
+        raise ValueError("graph JSON lists an edge twice")
+    return graph
+
+
+def reference_verify_assignment(graph: Graph, mapping: dict, palette_size: int):
+    """The verifier as first written: normalize, dedupe, check, rebuild the edge set."""
+    conflicts, foreign, out_of_palette = [], [], []
+    first_at, normalized = {}, {}
+    entries = sorted(((make_edge(*k), c) for k, c in mapping.items()), key=lambda kc: kc[0])
+    for e, color in entries:
+        if e in normalized:
+            conflicts.append(ColorConflict(e.u, color, e, e))
+        else:
+            normalized[e] = color
+    for e, color in normalized.items():
+        if not (0 <= e.u < graph.n and 0 <= e.v < graph.n) or not graph.bits[e.u] >> e.v & 1:
+            foreign.append(e)
+            continue
+        if not 0 <= color < palette_size:
+            out_of_palette.append((e, color))
+        for x in e:
+            prev = first_at.get((x, color))
+            if prev is None:
+                first_at[(x, color)] = e
+            else:
+                conflicts.append(ColorConflict(x, color, prev, e))
+    foreign_set = set(foreign)
+    colored = {e for e in normalized if e not in foreign_set}
+    every = {make_edge(u, v) for u in range(graph.n) for v in graph.neighbors[u]}
+    return VerificationReport(
+        n=graph.n,
+        palette_size=palette_size,
+        colored_count=len(colored),
+        distinct_colors=len({normalized[e] for e in colored}) if colored else 0,
+        conflicts=tuple(conflicts),
+        uncolored=tuple(sorted(every - colored)),
+        foreign_edges=tuple(foreign),
+        out_of_palette=tuple(out_of_palette),
+    )
 
 
 def brute_phi(n: int) -> int:

@@ -161,6 +161,31 @@ class TestVerify:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_verify_overlong_csv_cell_is_one_line_error(self, capsys, tmp_path):
+        graph_path = tmp_path / "g.json"
+        coloring_path = tmp_path / "big.csv"
+        run(capsys, "build", "cyclic:5", "--out", str(graph_path))
+        coloring_path.write_text("1\n" + "1" * 131_073 + "\n")  # past csv's field limit
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph_path), "--coloring", str(coloring_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_cyclic_255_round_trip(self, capsys, tmp_path):
+        graph_path, csv_path, json_path = (tmp_path / name for name in ("g.json", "c.csv", "c.json"))
+        assert run(capsys, "build", "cyclic:255", "--out", str(graph_path))[0] == 0
+        code, out, _ = run(
+            capsys, "color", "cyclic:255", "--csv", str(csv_path), "--json", str(json_path)
+        )
+        assert code == 0 and json.loads(out)["verified"] is True
+        for path in (csv_path, json_path):
+            code, out, _ = run(capsys, "verify", "--graph", str(graph_path), "--coloring", str(path))
+            assert code == 0
+            assert json.loads(out)["valid"] is True
+
 
 class TestSurvey:
     def test_survey_consistent(self, capsys, tmp_path):

@@ -318,6 +318,10 @@ class TestTableIO:
             parse_coloring_csv('1\nnonsense\n', 15)
         with pytest.raises(ColoringError):
             parse_coloring_csv('1\n"(1, 2)"\n"(2, 1)"\n', 15)  # duplicate edge
+        with pytest.raises(ColoringError, match="does not parse"):
+            parse_coloring_csv("1\n" + "1" * 131_073 + "\n", 15)  # past csv's field limit
+        with pytest.raises(ColoringError, match="does not parse"):
+            parse_coloring_csv('1\n"(1, 2)"\r"(1, 3)"\n', 15)  # a bare carriage return
 
     @pytest.mark.parametrize(
         "text",
@@ -339,6 +343,11 @@ class TestTableIO:
     def test_json_malformed_is_coloring_error(self, text):
         with pytest.raises(ColoringError) as err:
             parse_coloring_json(text)
+        assert "\n" not in str(err.value)
+
+    def test_json_nested_past_the_stack_is_coloring_error(self):
+        with pytest.raises(ColoringError, match="does not parse") as err:
+            parse_coloring_json('{"edges": ' + "[" * 100_000)
         assert "\n" not in str(err.value)
 
     def test_json_roundtrip(self):

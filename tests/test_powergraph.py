@@ -180,6 +180,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             make_edge(2, 2)
 
+    def test_vertices_outside_the_range_have_no_edges(self):
+        graph = complete_graph(4)
+        for a, b in ((-1, 2), (2, -1), (-1, -2), (4, 0), (0, 4), (3, 7)):
+            assert graph.has_edge(a, b) is False
+        assert graph.has_edge(3, 0) is True
+
+    @pytest.mark.parametrize("v", [-1, -4, 4, 9])
+    def test_degree_refuses_a_vertex_outside_the_range(self, v):
+        with pytest.raises(ValueError, match="out of range"):
+            complete_graph(4).degree(v)
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 1)], labels=["a"])
@@ -231,6 +242,11 @@ class TestSerialization:
             graph_from_json(text)
         assert type(info.value) is ValueError
         assert "\n" not in str(info.value)
+
+    def test_json_nested_past_the_stack_is_value_error(self):
+        with pytest.raises(ValueError, match="nested") as info:
+            graph_from_json("[" * 100_000)
+        assert type(info.value) is ValueError
 
     @given(st.integers(min_value=0, max_value=9), st.data())
     @settings(max_examples=60, deadline=None)

@@ -1,0 +1,260 @@
+"""Witness I/O: the writers, the graph reader and the verifier against their first
+written forms (kept in conftest), and the parsers under fuzzing."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from powerchroma import (
+    ColoringError,
+    Edge,
+    EdgeColoring,
+    Graph,
+    GroupTableError,
+    color_power_graph,
+    coloring_to_csv,
+    coloring_to_json,
+    construct_group,
+    generate_catalog,
+    graph_from_json,
+    graph_to_json,
+    load_table_text,
+    parse_coloring_csv,
+    parse_coloring_json,
+    verify_assignment,
+    verify_proper,
+)
+from conftest import (
+    reference_coloring_to_json,
+    reference_graph_from_json,
+    reference_graph_to_json,
+    reference_verify_assignment,
+)
+
+SPECS = list(generate_catalog(60).specs) + ["cyclic:255"]
+
+
+@pytest.fixture(scope="module")
+def witnesses():
+    return {spec: color_power_graph(construct_group(spec)) for spec in SPECS}
+
+
+def same_graph(a: Graph, b: Graph) -> bool:
+    return (a.n, a.bits, a.neighbors, a.edge_count, a.labels) == (
+        b.n, b.bits, b.neighbors, b.edge_count, b.labels
+    )
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReference:
+    def test_writers_give_the_same_bytes(self, witnesses):
+        for spec, result in witnesses.items():
+            assert graph_to_json(result.graph) == reference_graph_to_json(result.graph), spec
+            assert coloring_to_json(result.coloring) == reference_coloring_to_json(
+                result.coloring
+            ), spec
+
+    def test_reader_builds_the_same_graph(self, witnesses):
+        for spec, result in witnesses.items():
+            text = graph_to_json(result.graph)
+            assert same_graph(graph_from_json(text), reference_graph_from_json(text)), spec
+            assert same_graph(graph_from_json(text), result.graph), spec
+
+    def test_verifier_gives_the_same_report(self, witnesses):
+        for spec, result in witnesses.items():
+            graph, coloring = result.graph, result.coloring
+            report = verify_proper(graph, coloring)
+            assert report.valid, spec
+            expected = reference_verify_assignment(
+                graph, coloring.assignment(), coloring.palette_size
+            )
+            assert report == expected, spec
+            palette, mapping = parse_coloring_csv(coloring_to_csv(coloring), graph.n)
+            assert verify_assignment(graph, mapping, palette) == expected, spec
+            _, palette, mapping = parse_coloring_json(coloring_to_json(coloring))
+            assert verify_assignment(graph, mapping, palette) == expected, spec
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(0, []),
+            Graph(1, []),
+            Graph(2, [(0, 1)], labels=["", " "]),
+            Graph(4, [(0, 3), (1, 2)], ['"hi"', "back\\slash", "ünï ✓ 😀", "\n\t\x00\x7f"]),
+        ],
+        ids=["n0", "n1", "blank-labels", "escaped-labels"],
+    )
+    def test_edge_cases_give_the_same_bytes(self, graph):
+        text = graph_to_json(graph)
+        assert text == reference_graph_to_json(graph)
+        assert same_graph(graph_from_json(text), graph)
+        for palette in (0, 1, 3):
+            coloring = EdgeColoring(graph, palette)
+            if palette == 3:
+                for color, (u, v) in enumerate(graph.edges()):
+                    coloring.assign(u, v, color)
+            assert coloring_to_json(coloring) == reference_coloring_to_json(coloring)
+
+    def test_a_loop_key_raises_as_before(self):
+        graph = Graph(3, [(0, 1)])
+        for mapping in ({(1, 1): 0}, {(0, 1): 0, (2, 2): 1}):
+            assert outcome(verify_assignment, graph, mapping, 2) == outcome(
+                reference_verify_assignment, graph, mapping, 2
+            )
+
+
+@st.composite
+def perturbed_mappings(draw):
+    """A greedy coloring of a small graph, then a run of damage and key rewrites."""
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    palette = draw(st.integers(0, 6))
+    items, used = [], {}
+    for u, v in graph.edges():
+        color = min(set(range(2 * n)) - used.get(u, set()) - used.get(v, set()))
+        used.setdefault(u, set()).add(color)
+        used.setdefault(v, set()).add(color)
+        items.append(((u, v), color))
+    kinds = ["twice", "foreign", "recolor", "conflict", "drop", "as-edge", "reversed-edge"]
+    small = st.integers(-3, 9)
+    ops = st.tuples(st.sampled_from(kinds), st.integers(0, 40), small, small)
+    for kind, i, x, y in draw(st.lists(ops, max_size=8)):
+        if kind == "foreign":  # vertices may be negative, past n, or an edge already listed
+            if x != y:
+                items.append(((x, y), draw(st.integers(-2, 8))))
+            continue
+        if not items:
+            continue
+        i %= len(items)
+        (a, b), color = items[i]
+        if kind == "twice":  # the same edge the other way round, another color
+            items.append(((b, a), color + 1 + abs(x)))
+        elif kind == "recolor":  # negative, out of palette, or clashing
+            items[i] = ((a, b), x)
+        elif kind == "conflict":  # the color of another entry at the same vertex
+            near = [c for (p, q), c in items if {p, q} & {a, b} and (p, q) != (a, b)]
+            if near:
+                items[i] = ((a, b), near[abs(x) % len(near)])
+        elif kind == "drop":
+            del items[i]
+        elif kind == "as-edge":  # keys as the parsers hold them
+            items[i] = (Edge(a, b), color)
+        else:  # an Edge whose fields are out of order
+            items[i] = (Edge(b, a), color)
+    order = draw(st.permutations(range(len(items))))
+    return graph, dict(items[j] for j in order), palette
+
+
+class TestPerturbedMappings:
+    @given(perturbed_mappings())
+    @settings(max_examples=400, deadline=None)
+    def test_same_report_as_reference(self, case):
+        graph, mapping, palette = case
+        report = verify_assignment(graph, mapping, palette)
+        assert report == reference_verify_assignment(graph, mapping, palette)
+
+
+def json_values(keys):
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(-3, 40)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=4)
+    )
+    return st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.sampled_from(keys), kids),
+        max_leaves=24,
+    )
+
+
+PAIRS = st.tuples(st.integers(-1, 6), st.integers(-1, 6)).map(list)
+GRAPH_PAYLOADS = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 7),
+        "edges": st.lists(PAIRS, max_size=8)
+        | st.lists(PAIRS | st.lists(st.integers(-2, 9), max_size=3), max_size=8),
+    },
+    optional={
+        "labels": st.lists(st.text(max_size=3), max_size=8)
+        | st.lists(st.text(max_size=3) | st.integers(0, 3), max_size=8)
+        | json_values(["n"])
+    },
+)
+GRAPH_TEXTS = st.text(max_size=80) | json_values(["n", "edges", "labels"]).map(json.dumps)
+COLORING_TEXTS = (
+    st.text(max_size=80)
+    | json_values(["n", "palette", "edges", "u", "v", "color"]).map(json.dumps)
+    | st.fixed_dictionaries(
+        {
+            "n": st.integers(-1, 8),
+            "palette": st.integers(-1, 8),
+            "edges": st.lists(json_values(["u", "v", "color"]), max_size=4),
+        }
+    ).map(json.dumps)
+)
+CSV_TEXTS = st.text(max_size=80) | st.text(alphabet='0123456789(), \n\r"x', max_size=80)
+TABLE_TEXTS = st.text(max_size=60) | st.lists(
+    st.sampled_from(["0", "1", "2", "3", "-1", "x", "#", " ", "\n", "\n#c\n", "1.5"]), max_size=30
+).map("".join)
+
+TYPED = (ColoringError, GroupTableError, ValueError)
+
+
+class TestParserFuzz:
+    @staticmethod
+    def check_graph_reader(text):
+        """A graph or a ValueError, the same as the first reader's, message and all."""
+        got, expected = outcome(graph_from_json, text), outcome(reference_graph_from_json, text)
+        if got[0] == "ok":
+            assert expected[0] == "ok" and same_graph(got[1], expected[1])
+        else:
+            assert got == expected
+
+    @given(GRAPH_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_graph_reader(self, text):
+        self.check_graph_reader(text)
+
+    @given(GRAPH_PAYLOADS.map(json.dumps))
+    @settings(max_examples=300, deadline=None)
+    def test_graph_reader_precedence(self, text):
+        self.check_graph_reader(text)
+
+    @given(COLORING_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_coloring_json_parser(self, text):
+        try:
+            n, palette, mapping = parse_coloring_json(text)
+        except TYPED:
+            return
+        assert type(n) is int and type(palette) is int and type(mapping) is dict
+
+    @given(CSV_TEXTS, st.integers(0, 20))
+    @settings(max_examples=300, deadline=None)
+    def test_coloring_csv_parser(self, text, n):
+        try:
+            palette, mapping = parse_coloring_csv(text, n)
+        except TYPED:
+            return
+        assert type(palette) is int and all(0 <= c < palette for c in mapping.values())
+
+    @given(TABLE_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_table_loader(self, text):
+        try:
+            group = load_table_text(text)
+        except TYPED:
+            return
+        assert group.order >= 1
