@@ -36,6 +36,7 @@ from .exchange import (
     ExchangeStepError,
     GroupColoring,
     STRATEGIES,
+    color_graph,
     color_power_graph,
     exchange_coloring,
     exchange_edge,
@@ -80,6 +81,7 @@ from .overfull import (
 from .powergraph import (
     Edge,
     Graph,
+    MAX_JSON_ORDER,
     build_power_graph,
     complement_edges,
     complete_graph,
@@ -93,6 +95,6 @@ from .powergraph import (
     max_degree,
     display_vertex,
 )
-from .toolkit import Catalog, ClassReport, SurveyResult, generate_catalog, run_survey
+from .toolkit import Catalog, ClassReport, SurveyResult, generate_catalog, run_survey, survey_group
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .coloring import (
 from .exchange import STRATEGIES, color_power_graph
 from .groups import GroupSpecError, GroupTableError, construct_group
 from .overfull import core_class1_check, deficiency_report, predict_class
-from .powergraph import build_power_graph, graph_from_json, graph_to_dot, graph_to_json
+from .powergraph import build_power_graph, graph_from_json, graph_to_dot, graph_to_json, max_degree
 from .toolkit import generate_catalog, run_survey
 
 
@@ -110,7 +110,7 @@ def _cmd_color(args) -> int:
         "class": result.class_label,
         "strategy": result.strategy,
         "colors_used": result.colors_used,
-        "max_degree": deficiency_report(result.graph).max_degree,
+        "max_degree": max_degree(result.graph),
         "verified": check.valid,
         "overfull_certificate": (
             {

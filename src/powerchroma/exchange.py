@@ -14,7 +14,7 @@ sacrifice chain that temporarily removes up to ``CHAIN_DEPTH`` target edges,
 all under a budget of ``NODE_BUDGET`` chain calls. The state works on the
 same ``EdgeColoring`` table as every other coloring. When the drain fails,
 ``ExchangeFailure`` carries diagnostics and proves nothing about the
-target's chromatic index; ``color_power_graph`` then falls back to exact
+target's chromatic index; ``color_graph`` then falls back to exact
 search.
 
 An attempt to trade a colored edge r (color x) for an absent edge t = (u, v)
@@ -53,7 +53,7 @@ from .coloring import (
     walk_alternating,
 )
 from .groups import Group
-from .overfull import ClassPrediction, OverfullReport, deficiency_report, predict_class
+from .overfull import OverfullReport, deficiency_report
 from .powergraph import Edge, Graph, build_power_graph, complete_graph, make_edge, max_degree
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "ExchangeStepError",
     "GroupColoring",
     "STRATEGIES",
+    "color_graph",
     "color_power_graph",
     "exchange_coloring",
     "exchange_edge",
@@ -393,118 +394,99 @@ STRATEGIES = ("auto", "roundrobin", "sp", "rhee", "exact")
 
 @dataclass
 class GroupColoring:
-    """A coloring of a group's power graph together with how it was obtained."""
+    """A coloring of a power graph, how it was obtained, and the class it proves."""
 
-    label: str
-    graph: Graph
     coloring: EdgeColoring
     class_label: str  # "class1" | "class2" | "indeterminate"
     strategy: str
-    colors_used: int
-    prediction: ClassPrediction
-    certificate: OverfullReport | None
-    stats: dict
+    certificate: OverfullReport | None = None
+    stats: dict = field(default_factory=dict)
+
+    @property
+    def graph(self) -> Graph:
+        return self.coloring.graph
+
+    @property
+    def colors_used(self) -> int:
+        return self.coloring.colors_used()
 
 
 def color_power_graph(group: Group, *, strategy: str = "auto") -> GroupColoring:
-    """Color the power graph with max_degree colors when class 1, one more when class 2.
+    """``color_graph`` on the power graph of ``group``."""
+    return color_graph(build_power_graph(group), strategy=strategy)
 
-    Dispatch for "auto": even order restricts the K_n round robin; odd cyclic
-    prime-power order gets the full rotation scheme plus an overfull
-    certificate; everything else goes through the exchange transform, with
-    exact search as the fallback. The result always passes verification by
-    construction.
+
+def color_graph(graph: Graph, *, strategy: str = "auto") -> GroupColoring:
+    """Color the graph with max_degree colors when it can, and label it by the proof.
+
+    Dispatch for "auto": one vertex is trivial; even order restricts the K_n
+    round robin; an odd overfull graph gets the full rotation scheme; every
+    other graph goes through the exchange transform, with exact search as the
+    fallback. The class label is what the witness proves: "class1" for a
+    max_degree-coloring, "class2" for a (max_degree + 1)-coloring of an
+    overfull graph (the report is the certificate), "indeterminate" otherwise.
+    The coloring always passes verification by construction.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    graph = build_power_graph(group)
-    prediction = predict_class(group)
-    n = group.order
-
-    if strategy == "auto":
+    n = graph.n
+    auto = strategy == "auto"
+    report = None
+    if auto:
         if n == 1:
-            return GroupColoring(
-                group.label, graph, EdgeColoring(graph, 0), "class1", "trivial",
-                0, prediction, None, {},
-            )
+            return _labelled(EdgeColoring(graph, 0), "trivial")
         if n % 2 == 0:
-            return _color_round_robin(group, graph, prediction)
-        if prediction.class_label == "class2":
-            return _color_rotation(group, graph, prediction)
+            strategy = "roundrobin"
+        else:
+            report = deficiency_report(graph)
+            strategy = "sp" if report.overfull else "rhee"
+    if strategy == "roundrobin":
+        if n % 2 != 0:
+            raise ValueError("roundrobin strategy needs an even group order")
+        return _labelled(restrict_coloring(round_robin_coloring(n), graph), "roundrobin")
+    if strategy == "sp":
+        if n % 2 == 0 or n < 3:
+            raise ValueError("sp strategy needs an odd group order >= 3")
+        coloring = EdgeColoring(graph, n)
+        for color, cls in enumerate(rotation_classes(n)):
+            for u, v in cls:
+                if graph.has_edge(u, v):
+                    coloring.assign(u, v, color)
+        return _labelled(coloring, "sp", report)
+    if strategy == "rhee":
         try:
-            coloring = exchange_coloring(graph)
-            return GroupColoring(
-                group.label, graph, coloring, "class1", "rhee",
-                coloring.colors_used(), prediction, None, {},
-            )
+            return _labelled(exchange_coloring(graph), "rhee")
         except ExchangeFailure as failure:
-            result = _color_exact(group, graph, prediction)
+            if not auto:
+                raise
+            result = _color_exact(graph)
             result.stats["exchange_failure"] = {
                 "remaining_extra": len(failure.remaining_extra),
                 "remaining_missing": len(failure.remaining_missing),
             }
             return result
-    if strategy == "roundrobin":
-        if n % 2 != 0:
-            raise ValueError("roundrobin strategy needs an even group order")
-        return _color_round_robin(group, graph, prediction)
-    if strategy == "sp":
-        if n % 2 == 0 or n < 3:
-            raise ValueError("sp strategy needs an odd group order >= 3")
-        return _color_rotation(group, graph, prediction)
-    if strategy == "rhee":
-        coloring = exchange_coloring(graph)
-        return GroupColoring(
-            group.label, graph, coloring, "class1", "rhee",
-            coloring.colors_used(), prediction, None, {},
-        )
-    return _color_exact(group, graph, prediction)
+    return _color_exact(graph)
 
 
-def _color_round_robin(group: Group, graph: Graph, prediction: ClassPrediction) -> GroupColoring:
-    n = group.order
-    coloring = restrict_coloring(round_robin_coloring(n), graph)
-    return GroupColoring(
-        group.label, graph, coloring, "class1", "roundrobin",
-        coloring.colors_used(), prediction, None, {},
-    )
+def _labelled(
+    coloring: EdgeColoring, strategy: str, report: OverfullReport | None = None
+) -> GroupColoring:
+    """Wrap ``coloring`` with the class it proves; ``report`` is the graph's, if known."""
+    graph = coloring.graph
+    if coloring.colors_used() == max_degree(graph):
+        return GroupColoring(coloring, "class1", strategy)
+    report = report or deficiency_report(graph)
+    if report.overfull:
+        return GroupColoring(coloring, "class2", strategy, report)
+    return GroupColoring(coloring, "indeterminate", strategy)
 
 
-def _color_rotation(group: Group, graph: Graph, prediction: ClassPrediction) -> GroupColoring:
-    n = group.order
-    coloring = EdgeColoring(graph, n)
-    for color, cls in enumerate(rotation_classes(n)):
-        for u, v in cls:
-            if graph.has_edge(u, v):
-                coloring.assign(u, v, color)
-    certificate = deficiency_report(graph) if prediction.class_label == "class2" else None
-    return GroupColoring(
-        group.label, graph, coloring, prediction.class_label, "sp",
-        coloring.colors_used(), prediction, certificate, {},
-    )
-
-
-def _color_exact(group: Group, graph: Graph, prediction: ClassPrediction) -> GroupColoring:
-    delta = max_degree(graph)
-    result = oracle.is_k_edge_colorable(graph, delta)
-    if result.status == "yes":
-        return GroupColoring(
-            group.label, graph, result.witness, "class1", "exact",
-            result.witness.colors_used(), prediction, None,
-            {"oracle_nodes": result.nodes_explored},
-        )
-    if result.status == "no":
-        witness = oracle.misra_gries_coloring(graph)
-        report = deficiency_report(graph)
-        certificate = report if report.overfull else None
-        return GroupColoring(
-            group.label, graph, witness, "class2", "exact",
-            witness.colors_used(), prediction, certificate,
-            {"oracle_nodes": result.nodes_explored},
-        )
-    witness = oracle.misra_gries_coloring(graph)
-    return GroupColoring(
-        group.label, graph, witness, "indeterminate", "exact",
-        witness.colors_used(), prediction, None,
-        {"oracle_nodes": result.nodes_explored, "budget_exhausted": True},
-    )
+def _color_exact(graph: Graph) -> GroupColoring:
+    """Exact search, with a Misra-Gries witness when the search is indeterminate."""
+    exact = oracle.exact_chromatic_index(graph)
+    witness = exact.witness if exact.determinate else oracle.misra_gries_coloring(graph)
+    result = _labelled(witness, "exact")
+    result.stats["oracle_nodes"] = exact.nodes_explored
+    if exact.budget_exhausted:
+        result.stats["budget_exhausted"] = True
+    return result

@@ -17,6 +17,7 @@ from .groups import Group
 __all__ = [
     "Edge",
     "Graph",
+    "MAX_JSON_ORDER",
     "build_power_graph",
     "complement_edges",
     "complete_graph",
@@ -31,6 +32,11 @@ __all__ = [
     "display_vertex",
 ]
 
+
+# Largest "n" that ``graph_from_json`` accepts. A group of this order would need a
+# 10^12-entry table, far past any this package builds; a larger "n" is refused
+# before its bitmask row list is allocated.
+MAX_JSON_ORDER = 1_000_000
 
 # Maps the characters "0"/"1" to the bytes 0/1 (selectors for ``compress``).
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -215,8 +221,9 @@ def graph_from_json(text: str) -> Graph:
     """Parse ``graph_to_json`` output; malformed input raises a one-line ValueError.
 
     One pass over the edges checks their shape and fills the bitmasks. The message
-    is that of the first failing check: shape, labels type, negative n, the first
-    loop or out-of-range edge, labels length, an edge listed twice.
+    is that of the first failing check: shape, labels type, negative n, n above
+    ``MAX_JSON_ORDER``, the first loop or out-of-range edge, labels length, an
+    edge listed twice.
     """
     try:
         payload = json.loads(text)
@@ -230,7 +237,8 @@ def graph_from_json(text: str) -> Graph:
     shape = 'graph JSON "edges" must be a list of [u, v] integer pairs'
     if type(edges) is not list:
         raise ValueError(shape)
-    bits = [0] * max(n, 0)
+    size = n if 0 <= n <= MAX_JSON_ORDER else 0  # any edge is out of range for a refused n
+    bits = [0] * size
     bad = None  # the first loop or out-of-range edge
     twice = False
     for e in edges:
@@ -238,7 +246,7 @@ def graph_from_json(text: str) -> Graph:
             raise ValueError(shape)
         if bad is None:
             a, b = e
-            if a == b or not (0 <= a < n and 0 <= b < n):
+            if a == b or not (0 <= a < size and 0 <= b < size):
                 bad = e
             elif bits[a] >> b & 1:
                 twice = True
@@ -249,6 +257,8 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError('graph JSON "labels" must be a list of strings')
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
+    if n > MAX_JSON_ORDER:
+        raise ValueError(f'graph JSON "n" must be at most {MAX_JSON_ORDER}, got {n}')
     if bad is not None:  # make_edge raises first for a loop
         raise ValueError(f"edge {make_edge(*bad)} out of range for n={n}")
     graph = Graph.__new__(Graph)

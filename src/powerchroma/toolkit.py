@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import oracle
 from .coloring import verify_proper
-from .exchange import color_power_graph
-from .groups import Group, construct_group
+from .exchange import color_graph
+from .groups import construct_group
 from .overfull import core_class1_check, deficiency_report, predict_class
 from .powergraph import build_power_graph
 
@@ -94,15 +94,6 @@ class WitnessInfo:
     class_label: str
     stats: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "colors_used": self.colors_used,
-            "verified": self.verified,
-            "strategy": self.strategy,
-            "class_label": self.class_label,
-            "stats": self.stats,
-        }
-
 
 @dataclass
 class OracleInfo:
@@ -110,14 +101,6 @@ class OracleInfo:
     nodes_explored: int
     budget_exhausted: bool
     agrees: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "chromatic_index": self.chromatic_index,
-            "nodes_explored": self.nodes_explored,
-            "budget_exhausted": self.budget_exhausted,
-            "agrees": self.agrees,
-        }
 
 
 @dataclass
@@ -140,25 +123,10 @@ class ClassReport:
     elapsed_ms: float
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "spec": self.spec,
-            "order": self.order,
-            "is_cyclic": self.is_cyclic,
-            "odd": self.odd,
-            "prime_power": self.prime_power,
-            "edge_count": self.edge_count,
-            "max_degree": self.max_degree,
-            "deficiency": self.deficiency,
-            "budget": self.budget,
-            "overfull": self.overfull,
-            "predicted_class": self.predicted_class,
-            "reason": self.reason,
-            "core_condition": self.core_condition,
-            "witness": self.witness.to_dict() if self.witness else None,
-            "oracle": self.oracle.to_dict() if self.oracle else None,
-        }
+        out = asdict(self)
+        elapsed_ms = out.pop("elapsed_ms")
         if include_timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
+            out["elapsed_ms"] = round(elapsed_ms, 3)
         return out
 
 
@@ -190,16 +158,9 @@ class SurveyResult:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
 
 
-def survey_group(
-    spec: str,
-    *,
-    witness: bool = False,
-    oracle_max_order: int = 0,
-    group: Group | None = None,
-) -> ClassReport:
+def survey_group(spec: str, *, witness: bool = False, oracle_max_order: int = 0) -> ClassReport:
     started = time.perf_counter()
-    if group is None:
-        group = construct_group(spec)
+    group = construct_group(spec)
     graph = build_power_graph(group)
     report = deficiency_report(graph)
     prediction = predict_class(group)
@@ -207,10 +168,10 @@ def survey_group(
 
     witness_info = None
     if witness:
-        result = color_power_graph(group)
+        result = color_graph(graph)
         check = verify_proper(graph, result.coloring)
         witness_info = WitnessInfo(
-            colors_used=result.coloring.colors_used(),
+            colors_used=result.colors_used,
             verified=check.valid,
             strategy=result.strategy,
             class_label=result.class_label,

@@ -188,6 +188,42 @@ def reference_graph_from_json(text: str) -> Graph:
     return graph
 
 
+def reference_report_dict(report, include_timing: bool = False) -> dict:
+    """``ClassReport.to_dict`` as first written: every field of the three records by hand."""
+    w, o = report.witness, report.oracle
+    out = {
+        "spec": report.spec,
+        "order": report.order,
+        "is_cyclic": report.is_cyclic,
+        "odd": report.odd,
+        "prime_power": report.prime_power,
+        "edge_count": report.edge_count,
+        "max_degree": report.max_degree,
+        "deficiency": report.deficiency,
+        "budget": report.budget,
+        "overfull": report.overfull,
+        "predicted_class": report.predicted_class,
+        "reason": report.reason,
+        "core_condition": report.core_condition,
+        "witness": {
+            "colors_used": w.colors_used,
+            "verified": w.verified,
+            "strategy": w.strategy,
+            "class_label": w.class_label,
+            "stats": w.stats,
+        } if w else None,
+        "oracle": {
+            "chromatic_index": o.chromatic_index,
+            "nodes_explored": o.nodes_explored,
+            "budget_exhausted": o.budget_exhausted,
+            "agrees": o.agrees,
+        } if o else None,
+    }
+    if include_timing:
+        out["elapsed_ms"] = round(report.elapsed_ms, 3)
+    return out
+
+
 def reference_verify_assignment(graph: Graph, mapping: dict, palette_size: int):
     """The verifier as first written: normalize, dedupe, check, rebuild the edge set."""
     conflicts, foreign, out_of_palette = [], [], []

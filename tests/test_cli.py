@@ -92,6 +92,16 @@ class TestColor:
         assert code == 0
         assert json.loads(out)["strategy"] == "rhee"
 
+    def test_color_forced_sp_on_class1_graph_is_indeterminate(self, capsys):
+        code, out, _ = run(capsys, "color", "cyclic:15", "--strategy", "sp")
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["class"], payload["colors_used"], payload["max_degree"]) == (
+            "indeterminate", 15, 14
+        )
+        assert payload["verified"] is True
+        assert payload["overfull_certificate"] is None
+
 
 class TestVerify:
     def test_verify_good_files(self, capsys, tmp_path):
@@ -159,6 +169,19 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_verify_oversized_graph_n_is_one_line_error(self, capsys, tmp_path):
+        graph_path = tmp_path / "g.json"
+        coloring_path = tmp_path / "c.csv"
+        graph_path.write_text('{"n": 100000000000000000000, "edges": []}')
+        coloring_path.write_text("1,2\n")
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph_path), "--coloring", str(coloring_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith('error: graph JSON "n" must be at most ')
         assert err.count("\n") == 1
 
     def test_verify_overlong_csv_cell_is_one_line_error(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """The exchange engine: single steps, the full transform, and group dispatch."""
 
 import random
+import sys
 
 import pytest
 
@@ -11,9 +12,11 @@ from powerchroma import (
     ExchangeStepError,
     Graph,
     build_power_graph,
+    color_graph,
     color_power_graph,
     complete_graph,
     construct_group,
+    deficiency_report,
     exchange_coloring,
     exchange_edge,
     make_edge,
@@ -281,11 +284,26 @@ class TestColorPowerGraph:
         sp = color_power_graph(construct_group("cyclic:15"), strategy="sp")
         assert sp.colors_used == 15  # one more than the optimum, still proper
         assert verify_proper(sp.graph, sp.coloring).valid
+        assert sp.class_label == "indeterminate"  # 15 colors and no overfull certificate
+        assert sp.certificate is None
         rhee = color_power_graph(construct_group("cyclic:15"), strategy="rhee")
         assert rhee.colors_used == 14
         exact = color_power_graph(construct_group("cyclic:5"), strategy="exact")
         assert exact.class_label == "class2"
         assert exact.colors_used == 5
+
+    def test_class2_from_the_graph_alone(self, monkeypatch):
+        def no_prediction(group):
+            raise AssertionError("predict_class was called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("powerchroma") and hasattr(module, "predict_class"):
+                monkeypatch.setattr(module, "predict_class", no_prediction)
+        result = color_graph(build_power_graph(construct_group("cyclic:27")))
+        assert (result.strategy, result.class_label) == ("sp", "class2")
+        assert result.certificate == deficiency_report(result.graph)
+        assert result.certificate.overfull
+        assert result.colors_used == max_degree(result.graph) + 1
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):

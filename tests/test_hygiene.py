@@ -1,0 +1,81 @@
+"""Static checks on the package source: no unused imports, and a complete top-level API."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "powerchroma"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def exported(tree: ast.Module) -> list[str] | None:
+    """The module's ``__all__`` list, or None when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return None
+
+
+def defined(tree: ast.Module) -> set[str]:
+    """Names bound at the top level by a def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def imported(tree: ast.Module) -> set[str]:
+    """Names bound by import statements anywhere in the module, less ``__future__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def used(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, plus those it lists in ``__all__``."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return names | set(exported(tree) or ())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = parse(path)
+    assert sorted(imported(tree) - used(tree)) == []
+
+
+CORE = {
+    p.stem: exported(parse(p))
+    for p in MODULES
+    if p.stem != "fixtures" and exported(parse(p)) is not None
+}
+
+
+def test_core_modules_found():
+    assert {"coloring", "exchange", "groups", "oracle", "overfull", "powergraph", "toolkit"} <= set(CORE)
+
+
+@pytest.mark.parametrize("module", sorted(CORE))
+def test_all_names_defined_and_reexported(module):
+    reexported = set()
+    for node in parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+            reexported.update(a.asname or a.name for a in node.names)
+    names = CORE[module]
+    assert sorted(set(names) - defined(parse(PACKAGE / f"{module}.py"))) == []
+    assert sorted(set(names) - reexported) == []

@@ -1,10 +1,14 @@
 """Power-graph construction and structural queries."""
 
+import json
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerchroma import (
+    MAX_JSON_ORDER,
     Graph,
     build_power_graph,
     complement_edges,
@@ -242,6 +246,37 @@ class TestSerialization:
             graph_from_json(text)
         assert type(info.value) is ValueError
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"n": 10**20, "edges": []}, '"n" must be at most 1000000, got 10'),
+            ({"n": MAX_JSON_ORDER + 1, "edges": [[0, 1]]}, '"n" must be at most'),
+            # the shape and labels messages still come first
+            ({"n": 10**20, "edges": [[0, 1], [0]]}, '"edges" must be a list of [u, v]'),
+            ({"n": 10**20, "edges": [], "labels": [1]}, '"labels" must be a list'),
+            ({"n": -(10**20), "edges": []}, "vertex count must be >= 0"),
+            # the bound itself is accepted: the edge is refused, not n
+            ({"n": MAX_JSON_ORDER, "edges": [[0, MAX_JSON_ORDER]]}, "out of range for n=1000000"),
+        ],
+    )
+    def test_json_n_bound(self, payload, message):
+        with pytest.raises(ValueError) as info:
+            graph_from_json(json.dumps(payload))
+        assert type(info.value) is ValueError
+        assert message in str(info.value)
+        assert "\n" not in str(info.value)
+
+    def test_json_oversized_n_is_refused_before_allocation(self):
+        text = json.dumps({"n": MAX_JSON_ORDER + 1, "edges": []})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most"):
+                graph_from_json(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < MAX_JSON_ORDER  # a row list of n ints would take 8 bytes per row
 
     def test_json_nested_past_the_stack_is_value_error(self):
         with pytest.raises(ValueError, match="nested") as info:

@@ -6,6 +6,8 @@ from powerchroma import generate_catalog, run_survey
 from powerchroma.fixtures import nonabelian21_text
 from powerchroma.toolkit import _check_report, survey_group
 
+from conftest import reference_report_dict
+
 
 class TestCatalog:
     def test_max_order_8(self):
@@ -84,6 +86,16 @@ class TestSurvey:
         assert "elapsed_ms" not in result.to_dict()["reports"][0]
         assert "elapsed_ms" in result.to_dict(include_timing=True)["reports"][0]
 
+    def test_to_dict_matches_reference(self):
+        result = run_survey(generate_catalog(30), witness=True, oracle_max_order=8)
+        assert all(r.witness is not None for r in result.reports)
+        assert any(r.oracle is not None for r in result.reports)
+        for report in result.reports:
+            assert report.to_dict() == reference_report_dict(report), report.spec
+            assert report.to_dict(include_timing=True) == reference_report_dict(
+                report, include_timing=True
+            ), report.spec
+
     def test_extra_table_spec(self, tmp_path):
         path = tmp_path / "order21.table"
         path.write_text(nonabelian21_text())
@@ -102,6 +114,23 @@ class TestSurvey:
         assert report.is_cyclic and report.odd and not report.prime_power
         assert report.witness.colors_used == 14
         assert report.witness.strategy == "rhee"
+
+    def test_survey_group_builds_the_graph_once(self, monkeypatch):
+        import powerchroma.exchange as exchange_module
+        import powerchroma.toolkit as toolkit_module
+
+        calls = []
+        build = toolkit_module.build_power_graph
+
+        def counting_build(group):
+            calls.append(group.label)
+            return build(group)
+
+        monkeypatch.setattr(toolkit_module, "build_power_graph", counting_build)
+        monkeypatch.setattr(exchange_module, "build_power_graph", counting_build)
+        report = survey_group("cyclic:15", witness=True)
+        assert report.witness.verified
+        assert calls == ["cyclic:15"]
 
     def test_mismatch_detection(self):
         report = survey_group("cyclic:9", witness=True)
