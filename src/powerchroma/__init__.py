@@ -90,7 +90,6 @@ from .powergraph import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    internal_vertex,
     make_edge,
     max_degree,
     display_vertex,

@@ -1,15 +1,19 @@
 """Edge colorings: verification, constructions, Kempe paths, and table/JSON IO.
 
 Colors are 0-based internally and 1-based in every export, matching the usual
-table presentation. Three constructions are provided:
+table presentation. Every coloring is built by one checked fill: the
+``EdgeColoring`` constructor colors its ``pairs`` in order, and ``assign`` is
+that loop over one pair. The two base constructions are closed-form rules on
+an edge (u, v) with u < v:
 
-* ``round_robin_coloring(n)`` - 1-factorization of K_n for even n (circle
-  method: fix vertex n-1, rotate the rest), n-1 colors.
-* ``rotation_classes(n)`` - for odd n, the n near-perfect matching classes
+* round robin (n even, n-1 colors): color u when v = n-1, otherwise
+  (u+v)*(n/2) mod (n-1). ``round_robin_coloring(n)`` is the 1-factorization
+  of K_n by the circle method (fix vertex n-1, rotate the rest).
+* rotation (n odd): class index ((u+v)*(n+1)/2 - 1) mod n.
+  ``rotation_classes(n)`` lists the n near-perfect matching classes
   S_p = {(p-q, p+q) mod n : q = 1..(n-1)/2} on labels 1..n; class p misses
-  exactly the vertex labeled p.
-* ``base_rotation_coloring(n)`` - K_n colored with classes S_1..S_{n-1} on
-  n-1 colors, leaving the matching S_n uncolored.
+  exactly the vertex labeled p. ``base_rotation_coloring(n)`` colors K_n with
+  classes S_1..S_{n-1} on n-1 colors, leaving the matching S_n uncolored.
 """
 
 from __future__ import annotations
@@ -66,23 +70,56 @@ class KempeCycleError(ColoringError):
 class EdgeColoring:
     """Partial proper edge coloring with O(1) per-vertex color lookups.
 
-    ``assign`` refuses improper, out-of-palette, or off-graph moves, so every
-    reachable state is proper by construction; ``verify_proper`` re-checks
-    independently from the raw assignment. ``edge_color`` maps each colored
-    edge to its color; the flat table ``at[v * palette_size + c]`` is the
-    vertex joined to v by color c, or -1 when v misses c. Only code that keeps
-    the two in step may write them.
+    The constructor colors ``pairs`` and ``assign`` one more edge, both through
+    ``_fill``, which refuses improper, out-of-palette, or off-graph moves, so
+    every reachable state is proper by construction; ``verify_proper``
+    re-checks independently from the raw assignment. ``edge_color`` maps each
+    colored edge to its color; the flat table ``at[v * palette_size + c]`` is
+    the vertex joined to v by color c, or -1 when v misses c. Only code that
+    keeps the two in step may write them.
     """
 
     __slots__ = ("graph", "palette_size", "edge_color", "at")
 
-    def __init__(self, graph: Graph, palette_size: int):
+    def __init__(self, graph: Graph, palette_size: int, pairs=()):
         if palette_size < 0:
             raise ColoringError(f"palette size must be >= 0, got {palette_size}")
         self.graph = graph
         self.palette_size = palette_size
         self.edge_color: dict[Edge, int] = {}
         self.at: list[int] = [-1] * (graph.n * palette_size)
+        self._fill(pairs)
+
+    def _fill(self, pairs) -> None:
+        """Color each ``((a, b), color)`` in order; raise ColoringError at the first bad one.
+
+        The checks run in this order: vertex range and adjacency, palette,
+        already colored, a clash at u, a clash at v.
+        """
+        n, bits = self.graph.n, self.graph.bits
+        p = self.palette_size
+        edge_color, at = self.edge_color, self.at
+        for k, color in pairs:
+            # canonical Edge keys (graph.edges(), the parsers) skip make_edge
+            e = k if type(k) is Edge and k[0] < k[1] else make_edge(*k)
+            u, v = e
+            # the range test keeps a negative index from wrapping into another row
+            if u < 0 or v >= n or not bits[u] >> v & 1:
+                raise ColoringError(f"edge {tuple(e)} is not in the graph")
+            if not 0 <= color < p:
+                raise ColoringError(f"color {color} outside palette 0..{p - 1}")
+            if e in edge_color:
+                raise ColoringError(f"edge {tuple(e)} already colored")
+            iu, iv = u * p + color, v * p + color
+            if at[iu] >= 0 or at[iv] >= 0:
+                x = u if at[iu] >= 0 else v
+                raise ColoringError(
+                    f"color {color} already present at vertex {x} "
+                    f"on edge {tuple(make_edge(x, at[x * p + color]))}"
+                )
+            edge_color[e] = color
+            at[iu] = v
+            at[iv] = u
 
     def copy(self) -> "EdgeColoring":
         out = EdgeColoring.__new__(EdgeColoring)
@@ -112,28 +149,7 @@ class EdgeColoring:
         return {c for c, w in enumerate(self.at[v * p:(v + 1) * p]) if w < 0}
 
     def assign(self, a: int, b: int, color: int) -> None:
-        e = make_edge(a, b)
-        u, v = e
-        graph = self.graph
-        # the range test keeps a negative index from wrapping into another row
-        if u < 0 or v >= graph.n or not graph.bits[u] >> v & 1:
-            raise ColoringError(f"edge {tuple(e)} is not in the graph")
-        p = self.palette_size
-        if not 0 <= color < p:
-            raise ColoringError(f"color {color} outside palette 0..{p - 1}")
-        if e in self.edge_color:
-            raise ColoringError(f"edge {tuple(e)} already colored")
-        at = self.at
-        iu, iv = u * p + color, v * p + color
-        if at[iu] >= 0 or at[iv] >= 0:
-            x = u if at[iu] >= 0 else v
-            raise ColoringError(
-                f"color {color} already present at vertex {x} "
-                f"on edge {tuple(make_edge(x, at[x * p + color]))}"
-            )
-        self.edge_color[e] = color
-        at[iu] = v
-        at[iv] = u
+        self._fill((((a, b), color),))
 
     def unassign(self, a: int, b: int) -> int:
         e = make_edge(a, b)
@@ -294,10 +310,9 @@ def verify_proper(graph: Graph, coloring: EdgeColoring) -> VerificationReport:
 
 
 def coloring_from_mapping(graph: Graph, mapping: dict, palette_size: int) -> EdgeColoring:
-    """Strict construction from a mapping; raises ColoringError on any violation."""
+    """Strict construction from a mapping; raises ColoringError at the least violating edge."""
     out = EdgeColoring(graph, palette_size)
-    for (a, b), color in sorted((make_edge(*k), c) for k, c in mapping.items()):
-        out.assign(a, b, color)
+    out._fill(sorted((make_edge(*k), c) for k, c in mapping.items()))
     return out
 
 
@@ -305,18 +320,37 @@ def coloring_from_mapping(graph: Graph, mapping: dict, palette_size: int) -> Edg
 # constructions
 
 
+def _round_robin_pairs(graph: Graph):
+    """Each edge (u, v) of ``graph`` (n even) with its color in the round robin of K_n.
+
+    The color is u when v = n-1, and otherwise (u+v)*(n/2) mod (n-1): color r
+    holds (n-1, r) and the pairs (r+i, r-i) mod (n-1), which sum to 2r, and
+    n/2 halves modulo the odd n-1.
+    """
+    n = graph.n
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"round robin needs an even n >= 2, got {n}")
+    half, last = n // 2, n - 1
+    return ((e, e[0] if e[1] == last else (e[0] + e[1]) * half % last) for e in graph.edges())
+
+
+def _rotation_pairs(graph: Graph):
+    """Each edge (u, v) of ``graph`` (n odd) with its class index in the rotation scheme of K_n.
+
+    The index is ((u+v)*(n+1)/2 - 1) mod n: class p-1 holds the pairs
+    (p-q, p+q) mod n, which sum to 2p, and (n+1)/2 halves modulo the odd n.
+    """
+    n = graph.n
+    half = (n + 1) // 2
+    return ((e, ((e[0] + e[1]) * half - 1) % n) for e in graph.edges())
+
+
 def round_robin_coloring(n: int) -> EdgeColoring:
     """Total proper coloring of K_n (n even) with n-1 colors, each a perfect matching."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"round robin needs an even n >= 2, got {n}")
     graph = complete_graph(n)
-    coloring = EdgeColoring(graph, n - 1)
-    mod = n - 1
-    for r in range(n - 1):
-        coloring.assign(n - 1, r, r)
-        for i in range(1, n // 2):
-            coloring.assign((r + i) % mod, (r - i) % mod, r)
-    return coloring
+    return EdgeColoring(graph, n - 1, _round_robin_pairs(graph))
 
 
 def rotation_classes(n: int) -> list[list[Edge]]:
@@ -324,37 +358,29 @@ def rotation_classes(n: int) -> list[list[Edge]]:
 
     Class index p-1 (p = 1..n) holds the edges (p-q, p+q) mod n over labels
     1..n for q = 1..(n-1)/2, translated to internal vertices (label n is
-    vertex 0); it misses exactly the vertex labeled p.
+    vertex 0); it misses exactly the vertex labeled p. Each class is sorted.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"rotation classes need an odd n >= 3, got {n}")
-    classes = []
-    for p in range(1, n + 1):
-        cls = [make_edge((p - q) % n, (p + q) % n) for q in range(1, (n - 1) // 2 + 1)]
-        classes.append(sorted(cls))
+    classes: list[list[Edge]] = [[] for _ in range(n)]
+    for e, index in _rotation_pairs(complete_graph(n)):
+        classes[index].append(e)
     return classes
 
 
 def base_rotation_coloring(n: int) -> tuple[EdgeColoring, tuple[Edge, ...]]:
     """K_n (odd) colored with classes 1..n-1; the last class is returned uncolored."""
     classes = rotation_classes(n)
-    graph = complete_graph(n)
-    coloring = EdgeColoring(graph, n - 1)
-    for color, cls in enumerate(classes[:-1]):
-        for u, v in cls:
-            coloring.assign(u, v, color)
-    return coloring, tuple(classes[-1])
+    pairs = ((e, color) for color, cls in enumerate(classes[:-1]) for e in cls)
+    return EdgeColoring(complete_graph(n), n - 1, pairs), tuple(classes[-1])
 
 
 def restrict_coloring(coloring: EdgeColoring, graph: Graph) -> EdgeColoring:
     """Restriction to a subgraph on the same vertex set."""
     if graph.n != coloring.graph.n:
         raise ColoringError("restriction target must have the same vertex set")
-    out = EdgeColoring(graph, coloring.palette_size)
-    for (u, v), color in sorted(coloring.items()):
-        if graph.has_edge(u, v):
-            out.assign(u, v, color)
-    return out
+    kept = sorted(pair for pair in coloring.items() if graph.has_edge(*pair[0]))
+    return EdgeColoring(graph, coloring.palette_size, kept)
 
 
 # ---------------------------------------------------------------------------

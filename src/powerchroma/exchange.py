@@ -45,15 +45,9 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from . import oracle
-from .coloring import (
-    EdgeColoring,
-    restrict_coloring,
-    rotation_classes,
-    round_robin_coloring,
-    walk_alternating,
-)
+from .coloring import EdgeColoring, _round_robin_pairs, _rotation_pairs, walk_alternating
 from .groups import Group
-from .overfull import OverfullReport, deficiency_report
+from .overfull import OverfullReport, deficiency_report, is_overfull
 from .powergraph import Edge, Graph, build_power_graph, complete_graph, make_edge, max_degree
 
 __all__ = [
@@ -106,11 +100,9 @@ class ExchangeState(EdgeColoring):
         n = target.n
         if n < 3 or n % 2 == 0:
             raise ValueError(f"exchange transform needs odd order >= 3, got n={n}")
-        super().__init__(complete_graph(n), n - 1)
+        full = complete_graph(n)
         # the rotation base: classes S_1..S_{n-1} on colors 0..n-2, S_n left out
-        for color, cls in enumerate(rotation_classes(n)[:-1]):
-            for u, v in cls:
-                self.assign(u, v, color)
+        super().__init__(full, n - 1, (pair for pair in _rotation_pairs(full) if pair[1] < n - 1))
         self.target = target.edge_set
         self.extra = {e for e in self.edge_color if e not in self.target}
         self.missing = {e for e in self.target if e not in self.edge_color}
@@ -157,13 +149,6 @@ class ExchangeState(EdgeColoring):
         self.missing = set(missing)
         self._order = sorted(self.extra)
         self.stats["restores"] += 1
-
-    def to_coloring(self, target: Graph) -> EdgeColoring:
-        out = EdgeColoring(target, self.palette_size)
-        edge_color = self.edge_color
-        for e in sorted(edge_color):
-            out.assign(e.u, e.v, edge_color[e])
-        return out
 
 
 def _missing(at: list[int], base: int, palette: int) -> list[int]:
@@ -383,7 +368,7 @@ def exchange_coloring(target: Graph) -> EdgeColoring:
         raise ExchangeFailure(sorted(state.extra), sorted(state.missing), state.stats)
     for e in state._order[::-1]:  # last first: each deletion from the side list is O(1)
         state.remove_edge(e)
-    return state.to_coloring(target)
+    return EdgeColoring(target, state.palette_size, state.edge_color.items())
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +404,8 @@ def color_power_graph(group: Group, *, strategy: str = "auto") -> GroupColoring:
 def color_graph(graph: Graph, *, strategy: str = "auto") -> GroupColoring:
     """Color the graph with max_degree colors when it can, and label it by the proof.
 
-    Dispatch for "auto": one vertex is trivial; even order restricts the K_n
-    round robin; an odd overfull graph gets the full rotation scheme; every
+    Dispatch for "auto": one vertex is trivial; even order gets the K_n round
+    robin's colors; an odd overfull graph gets the full rotation scheme; every
     other graph goes through the exchange transform, with exact search as the
     fallback. The class label is what the witness proves: "class1" for a
     max_degree-coloring, "class2" for a (max_degree + 1)-coloring of an
@@ -431,28 +416,21 @@ def color_graph(graph: Graph, *, strategy: str = "auto") -> GroupColoring:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     n = graph.n
     auto = strategy == "auto"
-    report = None
     if auto:
         if n == 1:
             return _labelled(EdgeColoring(graph, 0), "trivial")
         if n % 2 == 0:
             strategy = "roundrobin"
         else:
-            report = deficiency_report(graph)
-            strategy = "sp" if report.overfull else "rhee"
+            strategy = "sp" if is_overfull(graph) else "rhee"
     if strategy == "roundrobin":
         if n % 2 != 0:
             raise ValueError("roundrobin strategy needs an even group order")
-        return _labelled(restrict_coloring(round_robin_coloring(n), graph), "roundrobin")
+        return _labelled(EdgeColoring(graph, n - 1, _round_robin_pairs(graph)), "roundrobin")
     if strategy == "sp":
         if n % 2 == 0 or n < 3:
             raise ValueError("sp strategy needs an odd group order >= 3")
-        coloring = EdgeColoring(graph, n)
-        for color, cls in enumerate(rotation_classes(n)):
-            for u, v in cls:
-                if graph.has_edge(u, v):
-                    coloring.assign(u, v, color)
-        return _labelled(coloring, "sp", report)
+        return _labelled(EdgeColoring(graph, n, _rotation_pairs(graph)), "sp")
     if strategy == "rhee":
         try:
             return _labelled(exchange_coloring(graph), "rhee")
@@ -468,14 +446,12 @@ def color_graph(graph: Graph, *, strategy: str = "auto") -> GroupColoring:
     return _color_exact(graph)
 
 
-def _labelled(
-    coloring: EdgeColoring, strategy: str, report: OverfullReport | None = None
-) -> GroupColoring:
-    """Wrap ``coloring`` with the class it proves; ``report`` is the graph's, if known."""
+def _labelled(coloring: EdgeColoring, strategy: str) -> GroupColoring:
+    """Wrap ``coloring`` with the class it proves."""
     graph = coloring.graph
     if coloring.colors_used() == max_degree(graph):
         return GroupColoring(coloring, "class1", strategy)
-    report = report or deficiency_report(graph)
+    report = deficiency_report(graph)
     if report.overfull:
         return GroupColoring(coloring, "class2", strategy, report)
     return GroupColoring(coloring, "indeterminate", strategy)

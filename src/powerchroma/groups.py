@@ -208,9 +208,6 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inverse(self, a: int) -> int:
-        return self.table[a].index(0)
-
     def powers_of(self, g: int) -> frozenset[int]:
         """The cyclic subgroup generated by g, as a set of element indices."""
         if not 0 <= g < self.order:
@@ -253,17 +250,11 @@ def dihedral_group(n: int) -> Group:
     """Dihedral group of order 2n (n >= 3): rotations r^i and reflections r^i s."""
     if n < 3:
         raise GroupSpecError(f"dihedral:{n}: need n >= 3 (order 2n)")
-
-    def idx(i: int, j: int) -> int:
-        return i + n * j
-
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(2):
-            for k in range(n):
-                for ell in range(2):
-                    rot = (i + k) % n if j == 0 else (i - k) % n
-                    table[idx(i, j)][idx(k, ell)] = idx(rot, (j + ell) % 2)
+    # r^i is element i and r^i s is element n + i; r^i s r^k = r^(i-k) s
+    rotations = [[(i + k) % n for k in range(n)] for i in range(n)]
+    reflections = [[(i - k) % n for k in range(n)] for i in range(n)]
+    table = [row + [x + n for x in row] for row in rotations]
+    table += [[x + n for x in row] + row for row in reflections]
     names = ["e"] + ["r" if i == 1 else f"r^{i}" for i in range(1, n)]
     names += ["s"] + ["r s" if i == 1 else f"r^{i} s" for i in range(1, n)]
     return Group(table, f"dihedral:{n}", names)
@@ -277,21 +268,12 @@ def quaternion_group(m: int) -> Group:
     if m < 2:
         raise GroupSpecError(f"quaternion:{m}: need m >= 2 (order 4m)")
     two_m = 2 * m
-
-    def idx(i: int, j: int) -> int:
-        return i + two_m * j
-
-    table = [[0] * (4 * m) for _ in range(4 * m)]
-    for i in range(two_m):
-        for j in range(2):
-            for k in range(two_m):
-                for ell in range(2):
-                    if j == 0:
-                        table[idx(i, j)][idx(k, ell)] = idx((i + k) % two_m, ell)
-                    elif ell == 0:
-                        table[idx(i, j)][idx(k, ell)] = idx((i - k) % two_m, 1)
-                    else:
-                        table[idx(i, j)][idx(k, ell)] = idx((i - k + m) % two_m, 0)
+    # a^i is element i and a^i b is element 2m + i; a^i b a^k = a^(i-k) b and
+    # a^i b a^k b = a^(i-k+m)
+    powers = [[(i + k) % two_m for k in range(two_m)] for i in range(two_m)]
+    twisted = [[(i - k) % two_m for k in range(two_m)] for i in range(two_m)]
+    table = [row + [x + two_m for x in row] for row in powers]
+    table += [[x + two_m for x in row] + [(x + m) % two_m for x in row] for row in twisted]
     names = ["e"] + ["a" if i == 1 else f"a^{i}" for i in range(1, two_m)]
     names += ["b"] + ["a b" if i == 1 else f"a^{i} b" for i in range(1, two_m)]
     return Group(table, f"quaternion:{m}", names)

@@ -106,10 +106,7 @@ def is_k_edge_colorable(
         used[v] |= bit
         i += 1
         if i == m:
-            witness = EdgeColoring(graph, k)
-            for e, c in zip(order, choice):
-                witness.assign(e.u, e.v, c)
-            return ColorabilityResult("yes", witness, nodes)
+            return ColorabilityResult("yes", EdgeColoring(graph, k, zip(order, choice)), nodes)
 
 
 def exact_chromatic_index(graph: Graph, budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:

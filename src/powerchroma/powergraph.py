@@ -26,7 +26,6 @@ __all__ = [
     "graph_from_json",
     "graph_to_dot",
     "graph_to_json",
-    "internal_vertex",
     "make_edge",
     "max_degree",
     "display_vertex",
@@ -193,13 +192,6 @@ def complement_edges(graph: Graph) -> list[Edge]:
 def display_vertex(v: int, n: int) -> int:
     """Internal vertex index to 1..n display label (identity 0 prints as n)."""
     return v if v >= 1 else n
-
-
-def internal_vertex(label: int, n: int) -> int:
-    """1..n display label back to the internal 0..n-1 index."""
-    if not 1 <= label <= n:
-        raise ValueError(f"vertex label {label} out of range 1..{n}")
-    return label % n
 
 
 def _json_array(items: list[str]) -> str:

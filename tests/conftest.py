@@ -10,10 +10,13 @@ import pytest
 
 from powerchroma import (
     ColorConflict,
+    ColoringError,
+    EdgeColoring,
     Graph,
     Group,
     GroupTableError,
     VerificationReport,
+    complete_graph,
     make_edge,
 )
 from powerchroma.coloring import walk_alternating
@@ -259,6 +262,88 @@ def reference_verify_assignment(graph: Graph, mapping: dict, palette_size: int):
         foreign_edges=tuple(foreign),
         out_of_palette=tuple(out_of_palette),
     )
+
+
+def reference_assign(coloring: EdgeColoring, a: int, b: int, color: int) -> None:
+    """``EdgeColoring.assign`` as first written, one edge at a time on the raw fields."""
+    e = make_edge(a, b)
+    u, v = e
+    graph = coloring.graph
+    if u < 0 or v >= graph.n or not graph.bits[u] >> v & 1:
+        raise ColoringError(f"edge {tuple(e)} is not in the graph")
+    p = coloring.palette_size
+    if not 0 <= color < p:
+        raise ColoringError(f"color {color} outside palette 0..{p - 1}")
+    if e in coloring.edge_color:
+        raise ColoringError(f"edge {tuple(e)} already colored")
+    at = coloring.at
+    iu, iv = u * p + color, v * p + color
+    if at[iu] >= 0 or at[iv] >= 0:
+        x = u if at[iu] >= 0 else v
+        raise ColoringError(
+            f"color {color} already present at vertex {x} "
+            f"on edge {tuple(make_edge(x, at[x * p + color]))}"
+        )
+    coloring.edge_color[e] = color
+    at[iu] = v
+    at[iv] = u
+
+
+def reference_round_robin(n: int) -> EdgeColoring:
+    """The K_n round robin (n even) as first written: the circle-method loop."""
+    coloring = EdgeColoring(complete_graph(n), n - 1)
+    mod = n - 1
+    for r in range(n - 1):
+        reference_assign(coloring, n - 1, r, r)
+        for i in range(1, n // 2):
+            reference_assign(coloring, (r + i) % mod, (r - i) % mod, r)
+    return coloring
+
+
+def reference_rotation_classes(n: int) -> list:
+    """The rotation classes of K_n (n odd) as first written: class p-1 from (p-q, p+q) mod n."""
+    classes = []
+    for p in range(1, n + 1):
+        cls = [make_edge((p - q) % n, (p + q) % n) for q in range(1, (n - 1) // 2 + 1)]
+        classes.append(sorted(cls))
+    return classes
+
+
+def reference_dihedral_table(n: int) -> list:
+    """The dihedral table of order 2n as first written, cell by cell."""
+
+    def idx(i: int, j: int) -> int:
+        return i + n * j
+
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(2):
+            for k in range(n):
+                for ell in range(2):
+                    rot = (i + k) % n if j == 0 else (i - k) % n
+                    table[idx(i, j)][idx(k, ell)] = idx(rot, (j + ell) % 2)
+    return table
+
+
+def reference_quaternion_table(m: int) -> list:
+    """The generalized quaternion table of order 4m as first written, cell by cell."""
+    two_m = 2 * m
+
+    def idx(i: int, j: int) -> int:
+        return i + two_m * j
+
+    table = [[0] * (4 * m) for _ in range(4 * m)]
+    for i in range(two_m):
+        for j in range(2):
+            for k in range(two_m):
+                for ell in range(2):
+                    if j == 0:
+                        table[idx(i, j)][idx(k, ell)] = idx((i + k) % two_m, ell)
+                    elif ell == 0:
+                        table[idx(i, j)][idx(k, ell)] = idx((i - k) % two_m, 1)
+                    else:
+                        table[idx(i, j)][idx(k, ell)] = idx((i - k + m) % two_m, 0)
+    return table
 
 
 def brute_phi(n: int) -> int:

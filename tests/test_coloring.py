@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from powerchroma import (
     ColoringError,
+    Edge,
     EdgeColoring,
     Graph,
     KempeCycleError,
@@ -29,8 +32,14 @@ from powerchroma import (
     verify_assignment,
     verify_proper,
 )
+from powerchroma.coloring import _rotation_pairs, _round_robin_pairs
 from powerchroma.fixtures import c15_reference_coloring
-from conftest import random_graph
+from conftest import (
+    random_graph,
+    reference_assign,
+    reference_rotation_classes,
+    reference_round_robin,
+)
 
 
 def display_edges(pairs, n=15):
@@ -111,6 +120,75 @@ class TestVerify:
         assert coloring.missing_at(2) == {0, 1, 2} and coloring.neighbor_at(1, 0) is None
         with pytest.raises(ColoringError):
             coloring.unassign(1, 2)
+
+
+@st.composite
+def fills(draw):
+    """A small graph, a palette and pairs to fill it with, many of them bad.
+
+    Keys mix canonical edges of the graph, the same edges reversed as ``Edge``
+    values, and plain pairs that may be foreign, negative, out of range or a
+    loop; colors run one past each end of the palette but mostly lie inside
+    it, and the small domains make repeats and clashes at either endpoint
+    common.
+    """
+    n = draw(st.integers(2, 6))
+    graph = Graph(n, draw(st.sets(st.sampled_from(complete_graph(n).edges()), min_size=1)))
+    palette = draw(st.integers(0, 3))
+    canonical = st.sampled_from(graph.edges())
+    reversed_edge = st.sampled_from([Edge(v, u) for u, v in graph.edges()])
+    plain = st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1))
+    colors = st.one_of(st.integers(0, max(palette - 1, 0)), st.integers(-1, palette))
+    keys = st.one_of(canonical, canonical, reversed_edge, plain)
+    pairs = draw(st.lists(st.tuples(keys, colors), min_size=1, max_size=10))
+    return graph, palette, pairs
+
+
+def fill_outcome(build):
+    """The error raised as (type, message), or the colored state, edge order included."""
+    try:
+        coloring = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return list(coloring.items()), coloring.at
+
+
+class TestFill:
+    @settings(max_examples=300, deadline=None)
+    @given(fills())
+    # a clash at both endpoints names u
+    @example((Graph(4, [(0, 2), (1, 3), (0, 1)]), 1, [((0, 2), 0), ((1, 3), 0), ((0, 1), 0)]))
+    def test_fill_and_assign_match_the_reference_assign(self, case):
+        graph, palette, pairs = case
+
+        def one_by_one(assign):
+            coloring = EdgeColoring(graph, palette)
+            for (a, b), color in pairs:
+                assign(coloring, a, b, color)
+            return coloring
+
+        expected = fill_outcome(lambda: one_by_one(reference_assign))
+        assert fill_outcome(lambda: EdgeColoring(graph, palette, pairs)) == expected
+        assert fill_outcome(lambda: one_by_one(EdgeColoring.assign)) == expected
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("n", list(range(2, 65, 2)) + [120])
+    def test_round_robin_rule_matches_the_circle_method(self, n):
+        reference = reference_round_robin(n)
+        assert dict(_round_robin_pairs(complete_graph(n))) == reference.edge_color
+        coloring = round_robin_coloring(n)
+        assert coloring.edge_color == reference.edge_color and coloring.at == reference.at
+
+    @pytest.mark.parametrize("n", list(range(3, 65, 2)) + [121, 243, 255])
+    def test_rotation_rule_matches_the_class_loop(self, n):
+        reference = reference_rotation_classes(n)
+        index = {e: i for i, cls in enumerate(reference) for e in cls}
+        assert dict(_rotation_pairs(complete_graph(n))) == index
+        assert rotation_classes(n) == reference
+        base, matching = base_rotation_coloring(n)
+        assert base.edge_color == {e: i for e, i in index.items() if i < n - 1}
+        assert matching == tuple(reference[-1])
 
 
 class TestRoundRobin:

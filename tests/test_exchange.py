@@ -305,6 +305,21 @@ class TestColorPowerGraph:
         assert result.certificate.overfull
         assert result.colors_used == max_degree(result.graph) + 1
 
+    @pytest.mark.parametrize("spec, strategy", [("cyclic:12", "roundrobin"), ("cyclic:27", "sp")])
+    def test_direct_colorings_build_no_complete_graph(self, monkeypatch, spec, strategy):
+        import powerchroma.coloring as coloring_module
+        import powerchroma.exchange as exchange_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a coloring of K_n")
+
+        for module in (coloring_module, exchange_module):
+            for name in ("complete_graph", "round_robin_coloring", "restrict_coloring"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        result = color_graph(build_power_graph(construct_group(spec)))
+        assert result.strategy == strategy
+        assert verify_proper(result.graph, result.coloring).valid
+
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             color_power_graph(construct_group("cyclic:4"), strategy="magic")
@@ -312,6 +327,8 @@ class TestColorPowerGraph:
             color_power_graph(construct_group("cyclic:5"), strategy="roundrobin")
         with pytest.raises(ValueError):
             color_power_graph(construct_group("cyclic:4"), strategy="sp")
+        with pytest.raises(ValueError, match="round robin needs an even n >= 2, got 0"):
+            color_graph(Graph(0, []))
 
     def test_auto_escalates_to_exact_search(self, monkeypatch):
         import powerchroma.exchange as exchange_module

@@ -12,6 +12,7 @@ from powerchroma import (
     GroupSpecError,
     GroupTableError,
     construct_group,
+    dihedral_group,
     element_order,
     euler_phi,
     factorize,
@@ -19,10 +20,16 @@ from powerchroma import (
     is_cyclic,
     is_power_of,
     load_table_text,
+    quaternion_group,
     validate_table,
 )
 from powerchroma.groups import _generating_set
-from conftest import brute_phi, reference_validate_table
+from conftest import (
+    brute_phi,
+    reference_dihedral_table,
+    reference_quaternion_table,
+    reference_validate_table,
+)
 
 SMALL_TABLES = [construct_group(spec).table for spec in generate_catalog(12)]
 VERDICT_KEYWORDS = ("empty", "length", "range", "Latin", "identity", "associativity", "inverse")
@@ -99,6 +106,14 @@ class TestConstructGroup:
 
     def test_quaternion_order_convention(self):
         assert construct_group("quaternion:3").order == 12
+
+    def test_dihedral_tables_match_reference(self):
+        for n in range(3, 61):
+            assert dihedral_group(n).table == tuple(map(tuple, reference_dihedral_table(n))), n
+
+    def test_quaternion_tables_match_reference(self):
+        for m in range(2, 31):
+            assert quaternion_group(m).table == tuple(map(tuple, reference_quaternion_table(m))), m
 
     def test_product(self):
         group = construct_group("product:cyclic:3,cyclic:5")

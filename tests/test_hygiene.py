@@ -1,6 +1,7 @@
-"""Static checks on the package source: no unused imports, and a complete top-level API."""
+"""Static checks on the package source: no unused imports or functions, and a complete API."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,63 @@ def test_all_names_defined_and_reexported(module):
     names = CORE[module]
     assert sorted(set(names) - defined(parse(PACKAGE / f"{module}.py"))) == []
     assert sorted(set(names) - reexported) == []
+
+
+ROOT = PACKAGE.parent.parent
+USE_DIRS = ("src", "tests", "perfbench")
+
+
+def functions(tree: ast.Module):
+    """(qualified name, class name or None, name) of every def in the module, nested too."""
+    out = []
+
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((f"{prefix}{child.name}", owner, child.name))
+                visit(child, None, f"{prefix}{child.name}.")
+            else:
+                visit(child, owner, prefix)
+
+    visit(tree, None, "")
+    return out
+
+
+def references() -> set[str]:
+    """Every name read and attribute taken in src/, tests/ and perfbench/.
+
+    Import lines bind aliases, not ``Name`` nodes, and ``__all__`` lists strings,
+    so neither counts as a use.
+    """
+    names = set()
+    for folder in USE_DIRS:
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(parse(path)):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def overrides(module: str, owner: str, name: str) -> bool:
+    """True when the method replaces one a base class defines, so its caller lives there."""
+    cls = getattr(importlib.import_module(f"powerchroma.{module}"), owner)
+    return any(name in vars(base) for base in cls.__mro__[1:])
+
+
+def test_every_function_is_used():
+    used_names = references()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, owner, name in functions(parse(path)):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in used_names:
+                continue
+            if owner is not None and overrides(path.stem, owner, name):
+                continue
+            unused.append(f"{path.stem}.{qualified}")
+    assert unused == []
