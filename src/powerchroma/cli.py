@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .coloring import (
@@ -71,12 +72,7 @@ def _cmd_analyze(args) -> int:
     payload = {
         "spec": group.label,
         "order": group.order,
-        "n": report.n,
-        "edge_count": report.edge_count,
-        "max_degree": report.max_degree,
-        "deficiency": report.deficiency,
-        "budget": report.budget,
-        "overfull": report.overfull,
+        **asdict(report),
         "core_condition": core.condition if core else None,
         "core_description": core.description if core else None,
     }
@@ -92,9 +88,7 @@ def _cmd_classify(args) -> int:
         "order": group.order,
         "class": prediction.class_label,
         "reason": prediction.reason,
-        "is_cyclic": prediction.facts.is_cyclic,
-        "odd": prediction.facts.odd,
-        "prime_power": prediction.facts.prime_power,
+        **asdict(prediction.facts),
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return 0
@@ -104,6 +98,7 @@ def _cmd_color(args) -> int:
     group = construct_group(args.spec)
     result = color_power_graph(group, strategy=args.strategy)
     check = verify_proper(result.graph, result.coloring)
+    certificate = result.certificate
     payload = {
         "spec": group.label,
         "order": group.order,
@@ -114,11 +109,11 @@ def _cmd_color(args) -> int:
         "verified": check.valid,
         "overfull_certificate": (
             {
-                "edge_count": result.certificate.edge_count,
-                "max_degree": result.certificate.max_degree,
-                "capacity": result.certificate.max_degree * (result.certificate.n // 2),
+                "edge_count": certificate.edge_count,
+                "max_degree": certificate.max_degree,
+                "capacity": certificate.max_degree * (certificate.n // 2),
             }
-            if result.certificate
+            if certificate
             else None
         ),
     }

@@ -532,9 +532,14 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
             m = _EDGE_CELL.match(cell)
             if not m:
                 raise ColoringError(f"cannot parse edge cell {cell!r}")
-            u_label, v_label = int(m.group(1)), int(m.group(2))
+            try:
+                u_label, v_label = int(m.group(1)), int(m.group(2))
+            except ValueError:  # a label past the interpreter's digit limit
+                raise ColoringError(f"edge cell {cell!r} out of range for n={n}") from None
             if not (1 <= u_label <= n and 1 <= v_label <= n):
                 raise ColoringError(f"edge cell {cell!r} out of range for n={n}")
+            if u_label == v_label:
+                raise ColoringError(f"edge cell {cell!r} is a loop")
             e = make_edge(u_label % n, v_label % n)
             if e in mapping:
                 raise ColoringError(f"edge {cell!r} listed twice")
@@ -559,7 +564,7 @@ def parse_coloring_json(text: str) -> tuple[int, int, dict[Edge, int]]:
     """
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the stack
+    except (ValueError, RecursionError) as exc:  # or too deep, or past the digit limit
         raise ColoringError(f"coloring JSON does not parse: {exc}") from None
     if type(payload) is not dict:
         raise ColoringError("coloring JSON must be an object with n, palette and edges")

@@ -5,8 +5,8 @@ colors, one near-perfect matching left out) into a total (n-1)-coloring of a
 target subgraph with a full-degree vertex. Edges the base colors but the
 target lacks are traded one-for-one against target edges the base misses;
 each trade is realized by at most one Kempe path inversion. The working graph
-keeps a constant number of colored edges until the final surplus deletion, so
-every color class stays a near-perfect matching throughout.
+keeps a constant number of colored edges, so every color class stays a
+near-perfect matching throughout; the final coloring leaves the surplus out.
 
 The trades run as one drain: each missing target edge is brought in by a
 depth-1 Kempe exchange against some extra edge or, failing that, by a
@@ -22,7 +22,7 @@ removes r and then looks for a color missing at both u and v, or for a pair
 (alpha, beta), alpha missing at u and beta at v, whose alternating path from
 v does not end at u; inverting that path frees alpha at v. The drain settles
 most attempts without walking them. The base colors (n-1)^2/2 edges in n-1
-colors and every trade is one-for-one, so until the final deletion each color
+colors and every trade is one-for-one, so throughout the drain each color
 class is a near-perfect matching and each color is missing at exactly one
 vertex. Hence u and v share no missing color, and the alpha/beta path from v
 ends at u: t can never be added with no removal. If r touches neither u nor v
@@ -357,7 +357,7 @@ def exchange_coloring(target: Graph) -> EdgeColoring:
         raise ValueError(f"exchange transform needs odd order >= 3, got n={n}")
     if max_degree(target) != n - 1:
         raise ValueError("target must contain a vertex adjacent to all others")
-    if target.edge_count > (n - 1) * (n // 2):
+    if is_overfull(target):
         raise ValueError(
             f"target with {target.edge_count} edges is overfull; "
             f"no {n - 1}-coloring exists"
@@ -366,9 +366,9 @@ def exchange_coloring(target: Graph) -> EdgeColoring:
     state = ExchangeState(target)
     if not _drain(state, CHAIN_DEPTH, _Limits(NODE_BUDGET)):
         raise ExchangeFailure(sorted(state.extra), sorted(state.missing), state.stats)
-    for e in state._order[::-1]:  # last first: each deletion from the side list is O(1)
-        state.remove_edge(e)
-    return EdgeColoring(target, state.palette_size, state.edge_color.items())
+    extra = state.extra
+    pairs = ((e, c) for e, c in state.edge_color.items() if e not in extra)
+    return EdgeColoring(target, state.palette_size, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,6 @@ class GroupColoring:
     coloring: EdgeColoring
     class_label: str  # "class1" | "class2" | "indeterminate"
     strategy: str
-    certificate: OverfullReport | None = None
     stats: dict = field(default_factory=dict)
 
     @property
@@ -394,6 +393,11 @@ class GroupColoring:
     @property
     def colors_used(self) -> int:
         return self.coloring.colors_used()
+
+    @property
+    def certificate(self) -> OverfullReport | None:
+        """The overfull report that proves class 2; None for any other label."""
+        return deficiency_report(self.graph) if self.class_label == "class2" else None
 
 
 def color_power_graph(group: Group, *, strategy: str = "auto") -> GroupColoring:
@@ -409,7 +413,8 @@ def color_graph(graph: Graph, *, strategy: str = "auto") -> GroupColoring:
     other graph goes through the exchange transform, with exact search as the
     fallback. The class label is what the witness proves: "class1" for a
     max_degree-coloring, "class2" for a (max_degree + 1)-coloring of an
-    overfull graph (the report is the certificate), "indeterminate" otherwise.
+    overfull graph (``certificate`` is its overfull report), "indeterminate"
+    otherwise.
     The coloring always passes verification by construction.
     """
     if strategy not in STRATEGIES:
@@ -451,9 +456,8 @@ def _labelled(coloring: EdgeColoring, strategy: str) -> GroupColoring:
     graph = coloring.graph
     if coloring.colors_used() == max_degree(graph):
         return GroupColoring(coloring, "class1", strategy)
-    report = deficiency_report(graph)
-    if report.overfull:
-        return GroupColoring(coloring, "class2", strategy, report)
+    if is_overfull(graph):
+        return GroupColoring(coloring, "class2", strategy)
     return GroupColoring(coloring, "indeterminate", strategy)
 
 

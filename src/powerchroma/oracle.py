@@ -3,7 +3,9 @@
 ``is_k_edge_colorable`` runs a budgeted backtracking search over edges in
 descending degree-sum order; colors are interchangeable, so every edge at one
 chosen maximum-degree vertex is pinned to a fixed color up front, removing the
-k! relabeling factor. A counting shortcut answers "no" immediately whenever
+k! relabeling factor. The pins live in one per-position mask of allowed
+colors (one bit for a pinned edge, all k for any other), so one expression
+picks every color. A counting shortcut answers "no" immediately whenever
 edge_count > k * floor(n/2), since no color class can exceed floor(n/2) edges.
 
 ``exact_chromatic_index`` only ever tests k = max_degree: by the
@@ -15,6 +17,7 @@ Misra-Gries fan-rotation construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .coloring import EdgeColoring, walk_alternating
 from .powergraph import Graph, max_degree
@@ -43,11 +46,14 @@ class OracleResult:
     chromatic_index: int | None
     witness: EdgeColoring | None
     nodes_explored: int
-    budget_exhausted: bool
 
     @property
     def determinate(self) -> bool:
         return self.chromatic_index is not None
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return self.chromatic_index is None
 
 
 def is_k_edge_colorable(
@@ -66,27 +72,21 @@ def is_k_edge_colorable(
     order = sorted(graph.edges(), key=lambda e: (-(degrees[e.u] + degrees[e.v]), e))
     top = max(degrees)
     pivot = min(v for v in range(graph.n) if degrees[v] == top)
-    forced: dict = {}
-    for e in order:
-        if pivot in e:
-            forced[e] = len(forced)
-
+    # the colors each position may take: the pivot's edges, in search order,
+    # are pinned to colors 0, 1, 2, ...; every other edge may take any of k
     full = (1 << k) - 1
+    pins = count()
+    allowed = [1 << next(pins) if pivot in e else full for e in order]
+
     used = [0] * graph.n
     m = len(order)
     choice = [-1] * m
     nodes = 0
     i = 0
     while True:
-        e = order[i]
-        u, v = e
-        start = choice[i] + 1
-        if e in forced:
-            c = forced[e]
-            picked = c if c >= start and not ((used[u] | used[v]) >> c & 1) else -1
-        else:
-            avail = ~(used[u] | used[v]) & full & ~((1 << start) - 1)
-            picked = (avail & -avail).bit_length() - 1 if avail else -1
+        u, v = order[i]
+        avail = ~(used[u] | used[v]) & allowed[i] & ~((1 << (choice[i] + 1)) - 1)
+        picked = (avail & -avail).bit_length() - 1 if avail else -1
         nodes += 1
         if nodes > budget:
             return ColorabilityResult("indeterminate", None, nodes)
@@ -112,13 +112,13 @@ def is_k_edge_colorable(
 def exact_chromatic_index(graph: Graph, budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     delta = max_degree(graph)
     if graph.edge_count == 0:
-        return OracleResult(0, EdgeColoring(graph, 0), 0, False)
+        return OracleResult(0, EdgeColoring(graph, 0), 0)
     result = is_k_edge_colorable(graph, delta, budget)
     if result.status == "yes":
-        return OracleResult(delta, result.witness, result.nodes_explored, False)
+        return OracleResult(delta, result.witness, result.nodes_explored)
     if result.status == "no":
-        return OracleResult(delta + 1, misra_gries_coloring(graph), result.nodes_explored, False)
-    return OracleResult(None, None, result.nodes_explored, True)
+        return OracleResult(delta + 1, misra_gries_coloring(graph), result.nodes_explored)
+    return OracleResult(None, None, result.nodes_explored)
 
 
 def misra_gries_coloring(graph: Graph) -> EdgeColoring:

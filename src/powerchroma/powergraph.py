@@ -131,12 +131,12 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def complete_graph(n: int, labels=None) -> Graph:
+def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
     full = (1 << n) - 1
     graph = Graph.__new__(Graph)
-    graph._adopt_bits([full ^ (1 << v) for v in range(n)], labels)
+    graph._adopt_bits([full ^ (1 << v) for v in range(n)], None)
     return graph
 
 

@@ -211,14 +211,6 @@ def survey_group(spec: str, *, witness: bool = False, oracle_max_order: int = 0)
 
 def _check_report(report: ClassReport) -> list[str]:
     problems = []
-    theorem_overfull = (
-        report.is_cyclic and report.odd and report.prime_power and report.order >= 3
-    )
-    if report.overfull != theorem_overfull:
-        problems.append(
-            f"{report.spec}: overfull={report.overfull} but the classification "
-            f"predicts {theorem_overfull}"
-        )
     if (report.predicted_class == "class2") != report.overfull:
         problems.append(
             f"{report.spec}: predicted {report.predicted_class} does not track "

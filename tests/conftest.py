@@ -9,6 +9,8 @@ import random
 import pytest
 
 from powerchroma import (
+    DEFAULT_NODE_BUDGET,
+    ColorabilityResult,
     ColorConflict,
     ColoringError,
     EdgeColoring,
@@ -18,6 +20,7 @@ from powerchroma import (
     VerificationReport,
     complete_graph,
     make_edge,
+    max_degree,
 )
 from powerchroma.coloring import walk_alternating
 from powerchroma.exchange import _sacrifice_candidates
@@ -344,6 +347,66 @@ def reference_quaternion_table(m: int) -> list:
                     else:
                         table[idx(i, j)][idx(k, ell)] = idx((i - k + m) % two_m, 0)
     return table
+
+
+def reference_is_k_edge_colorable(
+    graph: Graph, k: int, budget: int = DEFAULT_NODE_BUDGET
+) -> ColorabilityResult:
+    """``is_k_edge_colorable`` as first written: the pivot's pins in an ``Edge``-keyed dict."""
+    if k < 0:
+        raise ValueError(f"color count must be >= 0, got {k}")
+    if graph.edge_count == 0:
+        return ColorabilityResult("yes", EdgeColoring(graph, k), 0)
+    if max_degree(graph) > k:
+        return ColorabilityResult("no", None, 0)
+    if graph.edge_count > k * (graph.n // 2):
+        return ColorabilityResult("no", None, 0)
+
+    degrees = [graph.degree(v) for v in range(graph.n)]
+    order = sorted(graph.edges(), key=lambda e: (-(degrees[e.u] + degrees[e.v]), e))
+    top = max(degrees)
+    pivot = min(v for v in range(graph.n) if degrees[v] == top)
+    forced: dict = {}
+    for e in order:
+        if pivot in e:
+            forced[e] = len(forced)
+
+    full = (1 << k) - 1
+    used = [0] * graph.n
+    m = len(order)
+    choice = [-1] * m
+    nodes = 0
+    i = 0
+    while True:
+        e = order[i]
+        u, v = e
+        start = choice[i] + 1
+        if e in forced:
+            c = forced[e]
+            picked = c if c >= start and not ((used[u] | used[v]) >> c & 1) else -1
+        else:
+            avail = ~(used[u] | used[v]) & full & ~((1 << start) - 1)
+            picked = (avail & -avail).bit_length() - 1 if avail else -1
+        nodes += 1
+        if nodes > budget:
+            return ColorabilityResult("indeterminate", None, nodes)
+        if picked < 0:
+            choice[i] = -1
+            i -= 1
+            if i < 0:
+                return ColorabilityResult("no", None, nodes)
+            prev = order[i]
+            bit = 1 << choice[i]
+            used[prev.u] &= ~bit
+            used[prev.v] &= ~bit
+            continue
+        choice[i] = picked
+        bit = 1 << picked
+        used[u] |= bit
+        used[v] |= bit
+        i += 1
+        if i == m:
+            return ColorabilityResult("yes", EdgeColoring(graph, k, zip(order, choice)), nodes)
 
 
 def brute_phi(n: int) -> int:

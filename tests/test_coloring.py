@@ -400,6 +400,14 @@ class TestTableIO:
             parse_coloring_csv("1\n" + "1" * 131_073 + "\n", 15)  # past csv's field limit
         with pytest.raises(ColoringError, match="does not parse"):
             parse_coloring_csv('1\n"(1, 2)"\r"(1, 3)"\n', 15)  # a bare carriage return
+        for cell in ("(15, 15)", "(1, 1)"):
+            with pytest.raises(ColoringError, match="is a loop") as err:
+                parse_coloring_csv(f'1\n"{cell}"\n', 15)
+            assert cell in str(err.value)
+        huge = "1" * 4301  # past the interpreter's integer-string digit limit
+        with pytest.raises(ColoringError, match="out of range") as err:
+            parse_coloring_csv(f'1\n"({huge}, 2)"\n', 15)
+        assert huge in str(err.value) and "\n" not in str(err.value)
 
     @pytest.mark.parametrize(
         "text",
@@ -416,6 +424,11 @@ class TestTableIO:
             '{"n": 3.0, "palette": 2, "edges": []}',
             '{"n": 3, "palette": -1, "edges": []}',
             '{"n": 3, "palette": 2, "edges": [',
+            pytest.param('{"n": ' + "1" * 4301 + ', "palette": 2, "edges": []}', id="long-n"),
+            pytest.param(
+                '{"n": 3, "palette": 2, "edges": [{"u": 0, "v": 1, "color": ' + "9" * 5000 + "}]}",
+                id="long-color",
+            ),
         ],
     )
     def test_json_malformed_is_coloring_error(self, text):

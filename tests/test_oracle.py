@@ -3,18 +3,20 @@
 import pytest
 
 from powerchroma import (
+    DEFAULT_NODE_BUDGET,
     Graph,
     build_power_graph,
     complete_graph,
     construct_group,
     exact_chromatic_index,
+    generate_catalog,
     is_k_edge_colorable,
     max_degree,
     misra_gries_coloring,
     predict_class,
     verify_proper,
 )
-from conftest import random_bipartite, random_graph
+from conftest import random_bipartite, random_graph, reference_is_k_edge_colorable
 
 
 class TestIsKEdgeColorable:
@@ -49,6 +51,43 @@ class TestIsKEdgeColorable:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             is_k_edge_colorable(complete_graph(3), -1)
+
+
+def outcome(result) -> tuple:
+    witness = result.witness.assignment() if result.witness else None
+    return result.status, result.nodes_explored, witness
+
+
+def search_outcomes(graph: Graph, budget: int) -> dict:
+    """(k, budget) -> outcome for k = max_degree - 1 .. max_degree + 1.
+
+    Asserts on the way that each search matches the first-written one exactly.
+    """
+    out = {}
+    delta = max_degree(graph)
+    for k in range(max(delta - 1, 0), delta + 2):
+        for b in (budget, 50, 3):
+            got = outcome(is_k_edge_colorable(graph, k, b))
+            assert got == outcome(reference_is_k_edge_colorable(graph, k, b)), (k, b)
+            out[k, b] = got
+    return out
+
+
+class TestAgainstReference:
+    """The pin mask visits the nodes the pinned-edge dict did and finds the same witness."""
+
+    @pytest.mark.parametrize("spec", generate_catalog(16).specs)
+    def test_catalog_groups(self, spec):
+        graph = build_power_graph(construct_group(spec))
+        # past order 12, cyclic:13 to 15 at k >= max_degree run to the 10^7-node
+        # default budget, seconds apiece, so searches there stop at 10^5 nodes
+        outcomes = search_outcomes(graph, DEFAULT_NODE_BUDGET if graph.n <= 12 else 100_000)
+        if spec == "cyclic:12":
+            assert outcomes[11, DEFAULT_NODE_BUDGET][:2] == ("yes", 2_472_140)
+
+    def test_random_graphs(self, rng):
+        for _ in range(100):
+            search_outcomes(random_graph(rng, rng.randrange(1, 9), rng.random()), DEFAULT_NODE_BUDGET)
 
 
 class TestExactChromaticIndex:

@@ -132,6 +132,23 @@ class TestSurvey:
         assert report.witness.verified
         assert calls == ["cyclic:15"]
 
+    def test_survey_group_reports_once(self, monkeypatch):
+        import powerchroma.exchange as exchange_module
+        import powerchroma.toolkit as toolkit_module
+
+        calls = []
+        report = toolkit_module.deficiency_report
+
+        def counting_report(graph):
+            calls.append(graph.n)
+            return report(graph)
+
+        monkeypatch.setattr(toolkit_module, "deficiency_report", counting_report)
+        monkeypatch.setattr(exchange_module, "deficiency_report", counting_report)
+        result = survey_group("cyclic:9", witness=True)
+        assert result.witness.class_label == "class2"
+        assert calls == [9]
+
     def test_mismatch_detection(self):
         report = survey_group("cyclic:9", witness=True)
         assert _check_report(report) == []

@@ -237,7 +237,7 @@ class TestParserFuzz:
     def test_coloring_json_parser(self, text):
         try:
             n, palette, mapping = parse_coloring_json(text)
-        except TYPED:
+        except ColoringError:
             return
         assert type(n) is int and type(palette) is int and type(mapping) is dict
 
@@ -246,7 +246,7 @@ class TestParserFuzz:
     def test_coloring_csv_parser(self, text, n):
         try:
             palette, mapping = parse_coloring_csv(text, n)
-        except TYPED:
+        except ColoringError:
             return
         assert type(palette) is int and all(0 <= c < palette for c in mapping.values())
 
