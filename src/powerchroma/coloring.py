@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from .powergraph import Edge, Graph, _json_array, complete_graph, make_edge, display_vertex
+from .powergraph import Edge, Graph, _json_array, complete_graph, make_edge
 
 __all__ = [
     "ColorConflict",
@@ -425,7 +425,7 @@ def kempe_path(graph: Graph, coloring: EdgeColoring, v: int, a: int, b: int) -> 
     """
     if a == b:
         raise ColoringError("kempe path needs two distinct colors")
-    if coloring.graph is not graph and coloring.graph.edge_set != graph.edge_set:
+    if coloring.graph.bits != graph.bits:
         raise ColoringError("coloring does not belong to this graph")
     if not 0 <= v < graph.n:
         raise ColoringError(f"vertex {v} out of range")
@@ -483,19 +483,14 @@ def kempe_invert(coloring: EdgeColoring, path: KempePath) -> EdgeColoring:
 _EDGE_CELL = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
-def _display_pair(e: Edge, n: int) -> tuple[int, int]:
-    return tuple(sorted((display_vertex(e.u, n), display_vertex(e.v, n))))
-
-
 def coloring_to_csv(coloring: EdgeColoring) -> str:
     """Table layout: header of 1-based colors, columns of "(u, v)" cells in 1..n labels."""
     n = coloring.graph.n
-    columns: list[list[str]] = [[] for _ in range(coloring.palette_size)]
-    by_color: dict[int, list[tuple[int, int]]] = {}
-    for e, c in coloring.items():
-        by_color.setdefault(c, []).append(_display_pair(e, n))
-    for c, pairs in by_color.items():
-        columns[c] = [f"({u}, {v})" for u, v in sorted(pairs)]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(coloring.palette_size)]
+    for (u, v), c in coloring.items():
+        # u < v, and the identity 0 is displayed as n, the largest label
+        pairs[c].append((v, n) if u == 0 else (u, v))
+    columns = [[f"({u}, {v})" for u, v in sorted(col)] for col in pairs]
     height = max((len(col) for col in columns), default=0)
     buf = io.StringIO()
     writer = csv.writer(buf)

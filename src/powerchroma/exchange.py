@@ -20,8 +20,8 @@ search.
 An attempt to trade a colored edge r (color x) for an absent edge t = (u, v)
 removes r and then looks for a color missing at both u and v, or for a pair
 (alpha, beta), alpha missing at u and beta at v, whose alternating path from
-v does not end at u; inverting that path frees alpha at v. The drain settles
-most attempts without walking them. The base colors (n-1)^2/2 edges in n-1
+v does not end at u; inverting that path frees alpha at v. The drain skips
+the extra edges whose attempt must fail. The base colors (n-1)^2/2 edges in n-1
 colors and every trade is one-for-one, so throughout the drain each color
 class is a near-perfect matching and each color is missing at exactly one
 vertex. Hence u and v share no missing color, and the alpha/beta path from v
@@ -29,10 +29,9 @@ ends at u: t can never be added with no removal. If r touches neither u nor v
 and x is missing at neither, removing r leaves the missing colors at u and v
 as they were, and every walk uses only colors from those sets, never x, so
 each walk is the same with or without r and the attempt fails. The drain
-therefore walks only the extra edges at u or v and those whose color is
-missing at u or v. It counts each other extra edge that sorts before the
-first success (all of them when none succeeds) as the failed attempt it would
-have been, so ``stats["attempts"]`` is unchanged.
+therefore attempts only the extra edges at u or v and those whose color is
+missing at u or v, in sorted order, and ``stats["attempts"]`` counts the
+attempts it makes.
 
 After a failed walk from v, the engine does not walk from u along beta: v
 misses beta and u misses alpha, so each ends its alpha/beta path, and when
@@ -41,7 +40,6 @@ the path from v ends at u, the path from u ends at v and fails too.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from . import oracle
@@ -89,12 +87,10 @@ class ExchangeState(EdgeColoring):
 
     ``extra`` holds colored edges absent from the target; ``missing`` holds
     target edges not currently colored. Inversions and exchanges keep the
-    coloring proper; |extra| - |missing| is invariant. ``_order`` keeps
-    ``extra`` sorted, so the drain ranks an edge by bisection instead of
-    sorting.
+    coloring proper; |extra| - |missing| is invariant.
     """
 
-    __slots__ = ("target", "extra", "missing", "stats", "_order")
+    __slots__ = ("target", "extra", "missing", "stats")
 
     def __init__(self, target: Graph):
         n = target.n
@@ -106,7 +102,6 @@ class ExchangeState(EdgeColoring):
         self.target = target.edge_set
         self.extra = {e for e in self.edge_color if e not in self.target}
         self.missing = {e for e in self.target if e not in self.edge_color}
-        self._order = sorted(self.extra)
         self.stats = {
             "attempts": 0,
             "exchanges": 0,
@@ -122,7 +117,6 @@ class ExchangeState(EdgeColoring):
             self.missing.add(e)
         else:
             self.extra.remove(e)
-            del self._order[bisect_left(self._order, e)]
         return color
 
     def add_edge(self, e: Edge, color: int) -> None:
@@ -131,7 +125,6 @@ class ExchangeState(EdgeColoring):
             self.missing.discard(e)
         else:
             self.extra.add(e)
-            insort(self._order, e)
 
     def snapshot(self):
         return (
@@ -147,7 +140,6 @@ class ExchangeState(EdgeColoring):
         self.at = list(at)
         self.extra = set(extra)
         self.missing = set(missing)
-        self._order = sorted(self.extra)
         self.stats["restores"] += 1
 
 
@@ -301,24 +293,17 @@ def _relevant(state: ExchangeState, t: Edge) -> list[Edge]:
 def _try_add(state: ExchangeState, t: Edge, depth: int, limits: _Limits) -> bool:
     """Bring target edge t into the working graph, sacrificing up to `depth` edges.
 
-    Extra edges are tried in sorted order, but only the ``_relevant`` ones
-    are walked. The drain keeps every color class a near-perfect matching, so
-    t cannot be added with no removal, and by the lemma in the module
-    docstring every other extra edge fails; it is counted as an attempt.
+    Only the ``_relevant`` extra edges are tried, in sorted order. The drain
+    keeps every color class a near-perfect matching, so t cannot be added
+    with no removal, and by the lemma in the module docstring every other
+    extra edge fails.
     """
-    stats = state.stats
-    stats["chain_calls"] += 1
+    state.stats["chain_calls"] += 1
     if not limits.spend():
         return False
-    order = state._order
-    counted = 0  # the ranks in ``order`` below this are already counted
     for r in _relevant(state, t):
-        rank = bisect_left(order, r)
-        stats["attempts"] += rank - counted
-        counted = rank + 1
         if _attempt_exchange(state, r, t):
             return True
-    stats["attempts"] += len(order) - counted
     if depth <= 0:
         return False
     for r in _sacrifice_candidates(state, t, limits):

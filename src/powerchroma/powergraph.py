@@ -221,6 +221,8 @@ def graph_from_json(text: str) -> Graph:
         payload = json.loads(text)
     except RecursionError:
         raise ValueError("graph JSON is nested past the interpreter's stack") from None
+    except ValueError as exc:  # not JSON, or a number past the digit limit
+        raise ValueError(f"graph JSON does not parse: {exc}") from None
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ValueError('graph JSON must be an object with "n" and "edges" keys')
     n, edges, labels = payload["n"], payload["edges"], payload.get("labels")

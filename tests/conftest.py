@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import functools
+import io
 import json
 import math
 import random
@@ -18,9 +21,15 @@ from powerchroma import (
     Group,
     GroupTableError,
     VerificationReport,
+    build_power_graph,
     complete_graph,
+    construct_group,
+    display_vertex,
+    exact_chromatic_index,
+    generate_catalog,
     make_edge,
     max_degree,
+    predict_class,
 )
 from powerchroma.coloring import walk_alternating
 from powerchroma.exchange import _sacrifice_candidates
@@ -122,16 +131,26 @@ def reference_attempt_exchange(state, remove, add) -> bool:
 
 
 def reference_try_add(state, t, depth, limits) -> bool:
-    """The drain step with every extra edge walked in sorted order; no skipping."""
-    state.stats["chain_calls"] += 1
+    """The drain step with every extra edge walked in sorted order; no skipping.
+
+    ``stats["unsettled"]`` tallies the attempts the skip lemma cannot settle,
+    judged on the state before each one: the extra edge touches an endpoint
+    of t or its color is missing at one. Every sacrifice attempt counts.
+    """
+    stats = state.stats
+    stats["chain_calls"] += 1
     if not limits.spend():
         return False
+    u, v = t
     for r in sorted(state.extra):
+        if u in r or v in r or state.edge_color[r] in state.missing_at(u) | state.missing_at(v):
+            stats["unsettled"] += 1
         if reference_attempt_exchange(state, r, t):
             return True
     if depth <= 0:
         return False
     for r in _sacrifice_candidates(state, t, limits):
+        stats["unsettled"] += 1
         snap = state.snapshot()
         if not reference_attempt_exchange(state, r, t):
             continue
@@ -146,6 +165,7 @@ def reference_try_add(state, t, depth, limits) -> bool:
 
 def reference_drain(state, depth, limits) -> bool:
     """``exchange._drain`` over ``reference_try_add``."""
+    state.stats["unsettled"] = 0
     while state.missing:
         for t in sorted(state.missing):
             if reference_try_add(state, t, depth, limits):
@@ -160,6 +180,25 @@ def reference_graph_to_json(graph: Graph) -> str:
     edges = sorted(make_edge(u, v) for u in range(graph.n) for v in graph.neighbors[u] if u < v)
     payload = {"n": graph.n, "edges": [[u, v] for u, v in edges], "labels": list(graph.labels)}
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def reference_coloring_to_csv(coloring) -> str:
+    """The CSV writer as first written: each edge's display labels sorted as a pair."""
+    n = coloring.graph.n
+    columns = [[] for _ in range(coloring.palette_size)]
+    by_color = {}
+    for e, c in coloring.items():
+        pair = tuple(sorted((display_vertex(e.u, n), display_vertex(e.v, n))))
+        by_color.setdefault(c, []).append(pair)
+    for c, pairs in by_color.items():
+        columns[c] = [f"({u}, {v})" for u, v in sorted(pairs)]
+    height = max((len(col) for col in columns), default=0)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([str(c + 1) for c in range(coloring.palette_size)])
+    for r in range(height):
+        writer.writerow([col[r] if r < len(col) else "" for col in columns])
+    return buf.getvalue()
 
 
 def reference_coloring_to_json(coloring) -> str:
@@ -407,6 +446,21 @@ def reference_is_k_edge_colorable(
         i += 1
         if i == m:
             return ColorabilityResult("yes", EdgeColoring(graph, k, zip(order, choice)), nodes)
+
+
+@functools.cache
+def small_catalog_oracle() -> tuple:
+    """(spec, graph, prediction, exact result) for every group of order <= 12.
+
+    The exact searches (``cyclic:12`` alone visits 2,472,140 nodes) run once
+    per session for the tests that read them.
+    """
+    out = []
+    for spec in generate_catalog(12):
+        group = construct_group(spec)
+        graph = build_power_graph(group)
+        out.append((spec, graph, predict_class(group), exact_chromatic_index(graph)))
+    return tuple(out)
 
 
 def brute_phi(n: int) -> int:

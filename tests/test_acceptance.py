@@ -40,7 +40,7 @@ from powerchroma.fixtures import (
     k15_exchanged_table,
     nonabelian21_group,
 )
-from conftest import random_bipartite, random_graph
+from conftest import random_bipartite, random_graph, small_catalog_oracle
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -257,11 +257,7 @@ def test_criterion_7_matching_transform():
 def test_criterion_8_oracle_concordance():
     indeterminate = []
     disagreements = []
-    for spec in generate_catalog(12):
-        group = construct_group(spec)
-        graph = build_power_graph(group)
-        prediction = predict_class(group)
-        result = exact_chromatic_index(graph)
+    for spec, graph, prediction, result in small_catalog_oracle():
         if not result.determinate:
             indeterminate.append(spec)
             continue

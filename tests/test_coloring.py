@@ -299,6 +299,16 @@ class TestKempe:
             kempe_path(square, coloring, 0, 0, 1)
         assert set(err.value.vertices) == {0, 1, 2, 3}
 
+    def test_coloring_of_another_graph_rejected(self):
+        coloring = EdgeColoring(Graph(3, [(0, 1)]), 2)
+        coloring.assign(0, 1, 0)
+        # an equal graph built separately is the same graph
+        assert kempe_path(Graph(3, [(0, 1)]), coloring, 0, 0, 1).vertices == (0, 1)
+        # the same edges with one vertex more: vertex 3 is past the coloring's table
+        for graph, v in ((Graph(4, [(0, 1)]), 3), (Graph(3, [(0, 2)]), 0)):
+            with pytest.raises(ColoringError, match="does not belong to this graph"):
+                kempe_path(graph, coloring, v, 0, 1)
+
     def test_invert_flips_endpoint_colors(self):
         base, _ = base_rotation_coloring(15)
         path = kempe_path(base.graph, base, 10, 12, 9)

@@ -13,10 +13,14 @@ from powerchroma import (
     is_k_edge_colorable,
     max_degree,
     misra_gries_coloring,
-    predict_class,
     verify_proper,
 )
-from conftest import random_bipartite, random_graph, reference_is_k_edge_colorable
+from conftest import (
+    random_bipartite,
+    random_graph,
+    reference_is_k_edge_colorable,
+    small_catalog_oracle,
+)
 
 
 class TestIsKEdgeColorable:
@@ -140,13 +144,7 @@ class TestExactChromaticIndex:
             assert result.chromatic_index == max_degree(graph)
 
     def test_oracle_agrees_with_prediction_small_catalog(self):
-        from powerchroma import generate_catalog
-
-        for spec in generate_catalog(12):
-            group = construct_group(spec)
-            graph = build_power_graph(group)
-            prediction = predict_class(group)
-            result = exact_chromatic_index(graph)
+        for spec, graph, prediction, result in small_catalog_oracle():
             assert result.determinate, spec
             expected = max_degree(graph) + (1 if prediction.class_label == "class2" else 0)
             assert result.chromatic_index == expected, spec

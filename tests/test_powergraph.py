@@ -239,12 +239,15 @@ class TestSerialization:
             "[]",
             '{"n": 3, "edges": [], "labels": [null, 1, {"a": 2}]}',
             '{"n": 2, "edges": [[0, 1], [1, 0]]}',
+            "",
+            pytest.param('{"n": ' + "1" * 5000 + ', "edges": []}', id="n-past-digit-limit"),
         ],
     )
     def test_json_malformed_is_value_error(self, text):
         with pytest.raises(ValueError) as info:
             graph_from_json(text)
         assert type(info.value) is ValueError
+        assert "graph JSON" in str(info.value)
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from powerchroma import (
     verify_proper,
 )
 from conftest import (
+    reference_coloring_to_csv,
     reference_coloring_to_json,
     reference_graph_from_json,
     reference_graph_to_json,
@@ -60,6 +61,9 @@ class TestAgainstReference:
         for spec, result in witnesses.items():
             assert graph_to_json(result.graph) == reference_graph_to_json(result.graph), spec
             assert coloring_to_json(result.coloring) == reference_coloring_to_json(
+                result.coloring
+            ), spec
+            assert coloring_to_csv(result.coloring) == reference_coloring_to_csv(
                 result.coloring
             ), spec
 
@@ -215,7 +219,17 @@ TYPED = (ColoringError, GroupTableError, ValueError)
 class TestParserFuzz:
     @staticmethod
     def check_graph_reader(text):
-        """A graph or a ValueError, the same as the first reader's, message and all."""
+        """A graph or a ValueError, the same as the first reader's, message and all.
+
+        Text that is not JSON gets the first reader's message, prefixed.
+        """
+        try:
+            json.loads(text)
+        except ValueError as err:
+            assert outcome(graph_from_json, text) == (
+                ValueError, "graph JSON does not parse: " + str(err)
+            )
+            return
         got, expected = outcome(graph_from_json, text), outcome(reference_graph_from_json, text)
         if got[0] == "ok":
             assert expected[0] == "ok" and same_graph(got[1], expected[1])
