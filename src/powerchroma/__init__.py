@@ -3,25 +3,20 @@
 The power graph of a finite group joins two distinct elements whenever one is
 a power of the other. This package builds those graphs from explicit group
 tables, decides overfullness and the edge-chromatic class exactly, and backs
-every class decision with a machine-verified edge coloring: 1-factorization
-restrictions for even orders, rotation schemes for odd complete graphs, and a
-Kempe-chain edge-exchange transform for the dense odd cases, with exhaustive
-search as the small-instance ground truth.
+every class decision with a machine-verified edge coloring: the round-robin
+colors of K_n, edge by edge, for even orders, rotation schemes for odd
+complete graphs, and a Kempe-chain edge-exchange transform for the dense odd
+cases, with exhaustive search as the small-instance ground truth.
 """
 
 from .coloring import (
     ColorConflict,
     ColoringError,
     EdgeColoring,
-    KempeCycleError,
-    KempePath,
     VerificationReport,
     base_rotation_coloring,
-    coloring_from_mapping,
     coloring_to_csv,
     coloring_to_json,
-    kempe_invert,
-    kempe_path,
     parse_coloring_csv,
     parse_coloring_json,
     restrict_coloring,
@@ -33,13 +28,11 @@ from .coloring import (
 from .exchange import (
     ExchangeFailure,
     ExchangeState,
-    ExchangeStepError,
     GroupColoring,
     STRATEGIES,
     color_graph,
     color_power_graph,
     exchange_coloring,
-    exchange_edge,
 )
 from .groups import (
     Factorization,
@@ -50,11 +43,9 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    element_order,
     euler_phi,
     factorize,
     is_cyclic,
-    is_power_of,
     load_table_file,
     load_table_text,
     quaternion_group,
@@ -83,10 +74,8 @@ from .powergraph import (
     Graph,
     MAX_JSON_ORDER,
     build_power_graph,
-    complement_edges,
     complete_graph,
     core_subgraph,
-    full_degree_vertices,
     graph_from_json,
     graph_to_dot,
     graph_to_json,

@@ -1,4 +1,4 @@
-"""Edge colorings: verification, constructions, Kempe paths, and table/JSON IO.
+"""Edge colorings: verification, constructions, two-color walks, and table/JSON IO.
 
 Colors are 0-based internally and 1-based in every export, matching the usual
 table presentation. Every coloring is built by one checked fill: the
@@ -32,15 +32,10 @@ __all__ = [
     "ColorConflict",
     "ColoringError",
     "EdgeColoring",
-    "KempeCycleError",
-    "KempePath",
     "VerificationReport",
     "base_rotation_coloring",
-    "coloring_from_mapping",
     "coloring_to_csv",
     "coloring_to_json",
-    "kempe_invert",
-    "kempe_path",
     "parse_coloring_csv",
     "parse_coloring_json",
     "restrict_coloring",
@@ -53,18 +48,6 @@ __all__ = [
 
 class ColoringError(ValueError):
     """Improper assignment or malformed coloring operation."""
-
-
-class KempeCycleError(ColoringError):
-    """The two-color component through the requested vertex is a cycle, not a path."""
-
-    def __init__(self, vertices, colors):
-        self.vertices = tuple(vertices)
-        self.colors = tuple(colors)
-        super().__init__(
-            f"two-color component through vertex {self.vertices[0]} with colors "
-            f"{self.colors} is a cycle"
-        )
 
 
 class EdgeColoring:
@@ -121,14 +104,6 @@ class EdgeColoring:
             at[iu] = v
             at[iv] = u
 
-    def copy(self) -> "EdgeColoring":
-        out = EdgeColoring.__new__(EdgeColoring)
-        out.graph = self.graph
-        out.palette_size = self.palette_size
-        out.edge_color = dict(self.edge_color)
-        out.at = list(self.at)
-        return out
-
     def color_of(self, a: int, b: int) -> int | None:
         return self.edge_color.get(make_edge(a, b))
 
@@ -139,10 +114,6 @@ class EdgeColoring:
             return None
         w = self.at[v * p + color]
         return None if w < 0 else w
-
-    def colors_at(self, v: int) -> set[int]:
-        p = self.palette_size
-        return {c for c, w in enumerate(self.at[v * p:(v + 1) * p]) if w >= 0}
 
     def missing_at(self, v: int) -> set[int]:
         p = self.palette_size
@@ -161,17 +132,11 @@ class EdgeColoring:
         self.at[e.v * p + color] = -1
         return color
 
-    def assignment(self) -> dict[Edge, int]:
-        return dict(self.edge_color)
-
     def items(self):
         return self.edge_color.items()
 
     def __len__(self) -> int:
         return len(self.edge_color)
-
-    def is_total(self) -> bool:
-        return len(self.edge_color) == self.graph.edge_count
 
     def colors_used(self) -> int:
         return len(set(self.edge_color.values()))
@@ -309,13 +274,6 @@ def verify_proper(graph: Graph, coloring: EdgeColoring) -> VerificationReport:
     return verify_assignment(graph, coloring.edge_color, coloring.palette_size)
 
 
-def coloring_from_mapping(graph: Graph, mapping: dict, palette_size: int) -> EdgeColoring:
-    """Strict construction from a mapping; raises ColoringError at the least violating edge."""
-    out = EdgeColoring(graph, palette_size)
-    out._fill(sorted((make_edge(*k), c) for k, c in mapping.items()))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -384,15 +342,7 @@ def restrict_coloring(coloring: EdgeColoring, graph: Graph) -> EdgeColoring:
 
 
 # ---------------------------------------------------------------------------
-# Kempe machinery
-
-
-@dataclass(frozen=True)
-class KempePath:
-    """Maximal alternating path in two colors; a single vertex when neither occurs."""
-
-    vertices: tuple[int, ...]
-    colors: tuple[int, int]
+# alternating walks
 
 
 def walk_alternating(
@@ -415,66 +365,6 @@ def walk_alternating(
         seq.append(nxt)
         cur = nxt
         col = second if col == first else first
-
-
-def kempe_path(graph: Graph, coloring: EdgeColoring, v: int, a: int, b: int) -> KempePath:
-    """Maximal alternating path from v in colors {a, b}, preferring a first.
-
-    If v carries neither color the path is the single vertex v. If the
-    component through v closes into a cycle, KempeCycleError is raised.
-    """
-    if a == b:
-        raise ColoringError("kempe path needs two distinct colors")
-    if coloring.graph.bits != graph.bits:
-        raise ColoringError("coloring does not belong to this graph")
-    if not 0 <= v < graph.n:
-        raise ColoringError(f"vertex {v} out of range")
-    for c in (a, b):
-        if not 0 <= c < coloring.palette_size:
-            raise ColoringError(f"color {c} outside palette 0..{coloring.palette_size - 1}")
-    if coloring.neighbor_at(v, a) is not None:
-        first, second = a, b
-    elif coloring.neighbor_at(v, b) is not None:
-        first, second = b, a
-    else:
-        return KempePath((v,), (a, b))
-    vertices, closed = walk_alternating(coloring.neighbor_at, v, first, second)
-    if closed:
-        raise KempeCycleError(vertices, (a, b))
-    return KempePath(tuple(vertices), (a, b))
-
-
-def kempe_invert(coloring: EdgeColoring, path: KempePath) -> EdgeColoring:
-    """Swap the two colors along a maximal alternating path; returns a new coloring.
-
-    Non-maximal paths are rejected: inverting one would create a conflict at
-    the truncation point.
-    """
-    a, b = path.colors
-    verts = path.vertices
-    if len(set(verts)) != len(verts):
-        raise ColoringError("kempe path repeats a vertex")
-    out = coloring.copy()
-    if len(verts) == 1:
-        return out
-    cols = []
-    for x, y in zip(verts, verts[1:]):
-        color = coloring.color_of(x, y)
-        if color is None:
-            raise ColoringError(f"path step ({x}, {y}) is not a colored edge")
-        if color not in (a, b):
-            raise ColoringError(f"path edge ({x}, {y}) has color {color}, not in {{{a}, {b}}}")
-        if cols and color == cols[-1]:
-            raise ColoringError("path colors do not alternate")
-        cols.append(color)
-    for endpoint, edge_color in ((verts[0], cols[0]), (verts[-1], cols[-1])):
-        extend = b if edge_color == a else a
-        if coloring.neighbor_at(endpoint, extend) is not None:
-            raise ColoringError(
-                f"path is not maximal: vertex {endpoint} still has color {extend}"
-            )
-    out.swap_path_colors(list(verts), a, b)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +399,11 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
     if not rows:
         raise ColoringError("empty coloring table")
     header = rows[0]
+    labels = [h.strip() for h in header]
+    while labels and not labels[-1]:  # blank cells may only trail the header
+        labels.pop()
     try:
-        colors = [int(h) for h in header if h.strip()]
+        colors = [int(h) for h in labels]
     except ValueError as exc:
         raise ColoringError(f"bad header row {header!r}") from exc
     if colors != list(range(1, len(colors) + 1)):

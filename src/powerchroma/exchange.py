@@ -51,22 +51,16 @@ from .powergraph import Edge, Graph, build_power_graph, complete_graph, make_edg
 __all__ = [
     "ExchangeFailure",
     "ExchangeState",
-    "ExchangeStepError",
     "GroupColoring",
     "STRATEGIES",
     "color_graph",
     "color_power_graph",
     "exchange_coloring",
-    "exchange_edge",
 ]
 
 # Sacrifice-chain depth and chain-call budget of the drain.
 CHAIN_DEPTH = 3
 NODE_BUDGET = 200_000
-
-
-class ExchangeStepError(RuntimeError):
-    """A single exchange step could not be realized at depth 1."""
 
 
 class ExchangeFailure(RuntimeError):
@@ -215,28 +209,6 @@ def _attempt_exchange(state: ExchangeState, remove: Edge, add: Edge) -> bool:
     state.add_edge(add, color)
     state.stats["exchanges"] += 1
     return True
-
-
-def exchange_edge(state: ExchangeState, remove: Edge, add: Edge) -> ExchangeState:
-    """Public single exchange step; raises ExchangeStepError when not realizable.
-
-    ``remove`` must currently be colored and ``add`` absent from the working
-    graph. The step succeeds when the endpoints of ``add`` share a missing
-    color after the deletion, directly or after one Kempe path inversion.
-    """
-    remove = make_edge(*remove)
-    add = make_edge(*add)
-    if remove not in state.edge_color:
-        raise ExchangeStepError(f"remove edge {tuple(remove)} is not colored")
-    if add in state.edge_color:
-        raise ExchangeStepError(f"add edge {tuple(add)} is already present")
-    if remove == add:
-        raise ExchangeStepError("remove and add must differ")
-    if not _attempt_exchange(state, remove, add):
-        raise ExchangeStepError(
-            f"no depth-1 exchange realizes removing {tuple(remove)} for {tuple(add)}"
-        )
-    return state
 
 
 @dataclass

@@ -20,11 +20,9 @@ __all__ = [
     "cyclic_group",
     "dihedral_group",
     "direct_product",
-    "element_order",
     "euler_phi",
     "factorize",
     "is_cyclic",
-    "is_power_of",
     "load_table_file",
     "load_table_text",
     "quaternion_group",
@@ -113,7 +111,7 @@ def validate_table(table: tuple[tuple[int, ...], ...]) -> None:
         if len(row) != n:
             raise GroupTableError(f"row {i} has length {len(row)}, expected {n}")
         for x in row:
-            if not isinstance(x, int) or not 0 <= x < n:
+            if type(x) is not int or not 0 <= x < n:
                 raise GroupTableError(f"entry {x!r} in row {i} out of range 0..{n - 1}")
         if len(set(row)) != n:
             raise GroupTableError(f"row {i} is not a permutation (Latin square violated)")
@@ -205,9 +203,6 @@ class Group:
         self.element_orders = tuple(orders)
         self._powers = tuple(powers)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def powers_of(self, g: int) -> frozenset[int]:
         """The cyclic subgroup generated by g, as a set of element indices."""
         if not 0 <= g < self.order:
@@ -216,20 +211,6 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({self.label!r}, order={self.order})"
-
-
-def element_order(group: Group, g: int) -> int:
-    """Smallest k >= 1 with g^k equal to the identity."""
-    if not 0 <= g < group.order:
-        raise IndexError(f"element index {g} out of range 0..{group.order - 1}")
-    return group.element_orders[g]
-
-
-def is_power_of(group: Group, a: int, b: int) -> bool:
-    """True iff a lies in the cyclic subgroup generated by b (k = 0 included)."""
-    if not 0 <= a < group.order:
-        raise IndexError(f"element index {a} out of range 0..{group.order - 1}")
-    return a in group.powers_of(b)
 
 
 def is_cyclic(group: Group) -> bool:

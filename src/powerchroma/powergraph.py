@@ -19,10 +19,8 @@ __all__ = [
     "Graph",
     "MAX_JSON_ORDER",
     "build_power_graph",
-    "complement_edges",
     "complete_graph",
     "core_subgraph",
-    "full_degree_vertices",
     "graph_from_json",
     "graph_to_dot",
     "graph_to_json",
@@ -164,29 +162,12 @@ def max_degree(graph: Graph) -> int:
     return max(graph.degree(v) for v in range(graph.n))
 
 
-def full_degree_vertices(graph: Graph) -> tuple[int, ...]:
-    """All vertices adjacent to every other vertex (needs n >= 2)."""
-    if graph.n < 2:
-        raise ValueError(f"full_degree_vertices needs n >= 2, got n={graph.n}")
-    return tuple(v for v in range(graph.n) if graph.degree(v) == graph.n - 1)
-
-
 def core_subgraph(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced by the maximum-degree vertices, with the parent map."""
     if graph.n < 1:
         raise ValueError("core_subgraph needs n >= 1")
     top = max_degree(graph)
     return graph.induced(v for v in range(graph.n) if graph.degree(v) == top)
-
-
-def complement_edges(graph: Graph) -> list[Edge]:
-    """All non-edges relative to the complete graph on the same vertices, sorted."""
-    return [
-        Edge(u, v)
-        for u in range(graph.n)
-        for v in range(u + 1, graph.n)
-        if not graph.has_edge(u, v)
-    ]
 
 
 def display_vertex(v: int, n: int) -> int:

@@ -467,6 +467,21 @@ def brute_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def kempe_flip(coloring: EdgeColoring, v: int, a: int, b: int) -> EdgeColoring:
+    """A copy of ``coloring`` with a and b swapped along the a/b path from v.
+
+    v must miss a or b, so it ends its two-color component: the drain's step,
+    ``walk_alternating`` then ``swap_path_colors``, on a maximal path.
+    """
+    assert coloring.neighbor_at(v, a) is None or coloring.neighbor_at(v, b) is None
+    first, second = (a, b) if coloring.neighbor_at(v, a) is not None else (b, a)
+    vertices, closed = walk_alternating(coloring.neighbor_at, v, first, second)
+    assert not closed
+    out = EdgeColoring(coloring.graph, coloring.palette_size, coloring.edge_color.items())
+    out.swap_path_colors(vertices, a, b)
+    return out
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)

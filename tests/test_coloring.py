@@ -11,17 +11,12 @@ from powerchroma import (
     Edge,
     EdgeColoring,
     Graph,
-    KempeCycleError,
-    KempePath,
     base_rotation_coloring,
     build_power_graph,
-    coloring_from_mapping,
     coloring_to_csv,
     coloring_to_json,
     complete_graph,
     construct_group,
-    kempe_invert,
-    kempe_path,
     make_edge,
     misra_gries_coloring,
     parse_coloring_csv,
@@ -32,9 +27,10 @@ from powerchroma import (
     verify_assignment,
     verify_proper,
 )
-from powerchroma.coloring import _rotation_pairs, _round_robin_pairs
+from powerchroma.coloring import _rotation_pairs, _round_robin_pairs, walk_alternating
 from powerchroma.fixtures import c15_reference_coloring
 from conftest import (
+    kempe_flip,
     random_graph,
     reference_assign,
     reference_rotation_classes,
@@ -110,10 +106,10 @@ class TestVerify:
         assert coloring.neighbor_at(1, 2) is None
         # colors outside the palette are absent, never read from another row
         assert coloring.neighbor_at(0, 3) is None and coloring.neighbor_at(2, -2) is None
-        assert coloring.colors_at(1) == {0, 1} and coloring.missing_at(1) == {2}
-        before = coloring.copy()
+        assert coloring.missing_at(1) == {2}
+        before = EdgeColoring(coloring.graph, coloring.palette_size, coloring.edge_color.items())
         coloring.swap_path_colors([0, 1, 2], 0, 1)
-        assert coloring.assignment() == {make_edge(0, 1): 1, make_edge(1, 2): 0}
+        assert coloring.edge_color == {make_edge(0, 1): 1, make_edge(1, 2): 0}
         assert coloring.neighbor_at(0, 1) == 1 and coloring.missing_at(0) == {0, 2}
         assert before.color_of(0, 1) == 0 and before.neighbor_at(0, 0) == 1
         assert coloring.unassign(2, 1) == 0
@@ -195,7 +191,7 @@ class TestRoundRobin:
     def test_two_vertices(self):
         coloring = round_robin_coloring(2)
         assert coloring.palette_size == 1
-        assert coloring.assignment() == {make_edge(0, 1): 0}
+        assert coloring.edge_color == {make_edge(0, 1): 0}
 
     def test_k4(self):
         coloring = round_robin_coloring(4)
@@ -250,7 +246,7 @@ class TestRotationClasses:
 class TestBaseRotationColoring:
     def test_n3(self):
         coloring, matching = base_rotation_coloring(3)
-        assert coloring.assignment() == {make_edge(0, 2): 0, make_edge(0, 1): 1}
+        assert coloring.edge_color == {make_edge(0, 2): 0, make_edge(0, 1): 1}
         assert list(matching) == [make_edge(1, 2)]
 
     def test_n5_matching(self):
@@ -272,21 +268,21 @@ class TestBaseRotationColoring:
 class TestKempe:
     def test_worked_path_from_base(self):
         base, _ = base_rotation_coloring(15)
-        path = kempe_path(base.graph, base, 10, 12, 9)  # display colors 13 and 10
-        assert path.vertices == (10, 1, 4, 7, 13)
+        # display colors 13 and 10
+        assert walk_alternating(base.neighbor_at, 10, 12, 9) == ([10, 1, 4, 7, 13], False)
 
     def test_worked_path_from_reference_coloring(self):
         palette, mapping = c15_reference_coloring()
         graph = build_power_graph(construct_group("cyclic:15"))
-        coloring = coloring_from_mapping(graph, mapping, palette)
-        path = kempe_path(graph, coloring, 5, 1, 6)  # display colors 2 and 7
-        assert path.vertices == (5, 14, 0, 4, 10)
+        coloring = EdgeColoring(graph, palette, sorted(mapping.items()))
+        # display colors 2 and 7
+        assert walk_alternating(coloring.neighbor_at, 5, 1, 6) == ([5, 14, 0, 4, 10], False)
 
     def test_vertex_without_either_color(self):
         coloring = EdgeColoring(complete_graph(3), 3)
         coloring.assign(0, 1, 0)
-        path = kempe_path(coloring.graph, coloring, 2, 1, 2)
-        assert path.vertices == (2,)
+        assert walk_alternating(coloring.neighbor_at, 2, 1, 2) == ([2], False)
+        assert kempe_flip(coloring, 2, 1, 2).edge_color == coloring.edge_color
 
     def test_cycle_detected(self):
         square = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -295,24 +291,13 @@ class TestKempe:
         coloring.assign(1, 2, 1)
         coloring.assign(2, 3, 0)
         coloring.assign(0, 3, 1)
-        with pytest.raises(KempeCycleError) as err:
-            kempe_path(square, coloring, 0, 0, 1)
-        assert set(err.value.vertices) == {0, 1, 2, 3}
-
-    def test_coloring_of_another_graph_rejected(self):
-        coloring = EdgeColoring(Graph(3, [(0, 1)]), 2)
-        coloring.assign(0, 1, 0)
-        # an equal graph built separately is the same graph
-        assert kempe_path(Graph(3, [(0, 1)]), coloring, 0, 0, 1).vertices == (0, 1)
-        # the same edges with one vertex more: vertex 3 is past the coloring's table
-        for graph, v in ((Graph(4, [(0, 1)]), 3), (Graph(3, [(0, 2)]), 0)):
-            with pytest.raises(ColoringError, match="does not belong to this graph"):
-                kempe_path(graph, coloring, v, 0, 1)
+        vertices, closed = walk_alternating(coloring.neighbor_at, 0, 0, 1)
+        assert closed
+        assert vertices == [0, 1, 2, 3]
 
     def test_invert_flips_endpoint_colors(self):
         base, _ = base_rotation_coloring(15)
-        path = kempe_path(base.graph, base, 10, 12, 9)
-        flipped = kempe_invert(base, path)
+        flipped = kempe_flip(base, 10, 12, 9)
         assert verify_proper(flipped.graph, flipped).conflicts == ()
         assert flipped.neighbor_at(10, 12) is None  # display color 13 now absent at 10
         assert flipped.neighbor_at(10, 9) is not None
@@ -320,31 +305,17 @@ class TestKempe:
 
     def test_invert_is_involution(self):
         base, _ = base_rotation_coloring(15)
-        path = kempe_path(base.graph, base, 10, 12, 9)
-        flipped = kempe_invert(base, path)
-        back_path = kempe_path(flipped.graph, flipped, 10, 12, 9)
-        assert kempe_invert(flipped, back_path).assignment() == base.assignment()
+        flipped = kempe_flip(base, 10, 12, 9)
+        assert flipped.edge_color != base.edge_color
+        assert kempe_flip(flipped, 10, 12, 9).edge_color == base.edge_color
 
     def test_single_edge_path(self):
         graph = Graph(2, [(0, 1)])
         coloring = EdgeColoring(graph, 2)
         coloring.assign(0, 1, 0)
-        path = kempe_path(graph, coloring, 0, 0, 1)
-        assert path.vertices == (0, 1)
-        flipped = kempe_invert(coloring, path)
+        assert walk_alternating(coloring.neighbor_at, 0, 0, 1) == ([0, 1], False)
+        flipped = kempe_flip(coloring, 0, 0, 1)
         assert flipped.color_of(0, 1) == 1
-
-    def test_non_maximal_rejected(self):
-        # path graph 0-1-2 colored 0,1: starting at the interior vertex yields
-        # a truncated segment whose inversion would clash at vertex 1
-        graph = Graph(3, [(0, 1), (1, 2)])
-        coloring = EdgeColoring(graph, 2)
-        coloring.assign(0, 1, 0)
-        coloring.assign(1, 2, 1)
-        segment = kempe_path(graph, coloring, 1, 0, 1)
-        assert segment.vertices == (1, 0)
-        with pytest.raises(ColoringError, match="maximal"):
-            kempe_invert(coloring, segment)
 
     def test_invert_random_instances_preserve_properness(self, rng):
         for _ in range(120):
@@ -359,11 +330,9 @@ class TestKempe:
             a, b = rng.sample(range(coloring.palette_size), 2)
             if coloring.neighbor_at(v, a) is not None and coloring.neighbor_at(v, b) is not None:
                 continue  # need the endpoint condition
-            path = kempe_path(graph, coloring, v, a, b)
-            flipped = kempe_invert(coloring, path)
+            flipped = kempe_flip(coloring, v, a, b)
             assert verify_proper(graph, flipped).conflicts == ()
-            back = kempe_invert(flipped, kempe_path(graph, flipped, v, a, b))
-            assert back.assignment() == coloring.assignment()
+            assert kempe_flip(flipped, v, a, b).edge_color == coloring.edge_color
 
 
 class TestRestrict:
@@ -386,8 +355,9 @@ class TestTableIO:
         text = coloring_to_csv(coloring)
         palette, mapping = parse_coloring_csv(text, 15)
         assert palette == 14
-        assert mapping == coloring.assignment()
-        assert coloring_to_csv(coloring_from_mapping(coloring.graph, mapping, palette)) == text
+        assert mapping == coloring.edge_color
+        rebuilt = EdgeColoring(coloring.graph, palette, sorted(mapping.items()))
+        assert coloring_to_csv(rebuilt) == text
 
     def test_csv_display_labels(self):
         coloring = EdgeColoring(complete_graph(3), 1)
@@ -410,6 +380,11 @@ class TestTableIO:
             parse_coloring_csv("1\n" + "1" * 131_073 + "\n", 15)  # past csv's field limit
         with pytest.raises(ColoringError, match="does not parse"):
             parse_coloring_csv('1\n"(1, 2)"\r"(1, 3)"\n', 15)  # a bare carriage return
+        # a blank header cell is allowed only at the end of the row
+        with pytest.raises(ColoringError, match="bad header row"):
+            parse_coloring_csv('1,,2\n"(1, 2)","(2, 3)",\n', 15)
+        with pytest.raises(ColoringError, match="bad header row"):
+            parse_coloring_csv('1,,2\n"(1, 2)",,"(2, 3)"\n', 15)
         for cell in ("(15, 15)", "(1, 1)"):
             with pytest.raises(ColoringError, match="is a loop") as err:
                 parse_coloring_csv(f'1\n"{cell}"\n', 15)
@@ -455,4 +430,4 @@ class TestTableIO:
         coloring = round_robin_coloring(6)
         n, palette, mapping = parse_coloring_json(coloring_to_json(coloring))
         assert (n, palette) == (6, 5)
-        assert mapping == coloring.assignment()
+        assert mapping == coloring.edge_color

@@ -1,13 +1,13 @@
 """The bundled reference tables and the sample order-21 group."""
 
 from powerchroma import (
+    Edge,
+    EdgeColoring,
     ExchangeState,
     base_rotation_coloring,
     build_power_graph,
     color_power_graph,
     construct_group,
-    exchange_edge,
-    full_degree_vertices,
     is_cyclic,
     is_overfull,
     parse_coloring_csv,
@@ -15,6 +15,7 @@ from powerchroma import (
     verify_assignment,
     verify_proper,
 )
+from powerchroma.exchange import _attempt_exchange
 from powerchroma.fixtures import (
     c15_reference_coloring,
     c15_reference_csv,
@@ -43,11 +44,11 @@ class TestReferenceColoring:
             assert len(mapping) in (97, 98)
 
     def test_reference_csv_round_trips(self):
-        from powerchroma import coloring_from_mapping, coloring_to_csv
+        from powerchroma import coloring_to_csv
 
         palette, mapping = c15_reference_coloring()
         graph = build_power_graph(construct_group("cyclic:15"))
-        rebuilt = coloring_from_mapping(graph, mapping, palette)
+        rebuilt = EdgeColoring(graph, palette, sorted(mapping.items()))
         again_palette, again = parse_coloring_csv(coloring_to_csv(rebuilt), 15)
         assert (again_palette, again) == (palette, mapping)
 
@@ -57,7 +58,7 @@ class TestBaseTable:
         palette, mapping = k15_base_table()
         coloring, matching = base_rotation_coloring(15)
         assert palette == 14
-        assert mapping == coloring.assignment()
+        assert mapping == coloring.edge_color
         # the uncolored set is exactly the last rotation class
         uncovered = set(coloring.graph.edge_set) - set(mapping)
         assert uncovered == set(matching)
@@ -77,7 +78,7 @@ class TestBaseTable:
 class TestExchangedTable:
     def test_reached_by_the_documented_step(self):
         state = ExchangeState(build_power_graph(construct_group("cyclic:15")))
-        exchange_edge(state, (5, 6), (5, 10))
+        assert _attempt_exchange(state, Edge(5, 6), Edge(5, 10))
         _, expected = k15_exchanged_table()
         assert state.edge_color == expected
 
@@ -106,7 +107,7 @@ class TestNonabelian21:
         assert group.order == 21
         assert not is_cyclic(group)
         assert any(
-            group.mul(a, b) != group.mul(b, a)
+            group.table[a][b] != group.table[b][a]
             for a in range(21)
             for b in range(21)
         )
@@ -117,7 +118,7 @@ class TestNonabelian21:
         graph = build_power_graph(group)
         assert graph.edge_count == 42
         assert not is_overfull(graph)
-        assert len(full_degree_vertices(graph)) == 1
+        assert [v for v in range(21) if graph.degree(v) == 20] == [0]
         assert predict_class(group).class_label == "class1"
 
     def test_witness(self):

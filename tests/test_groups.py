@@ -13,18 +13,17 @@ from powerchroma import (
     GroupTableError,
     construct_group,
     dihedral_group,
-    element_order,
     euler_phi,
     factorize,
     generate_catalog,
     is_cyclic,
-    is_power_of,
     load_table_text,
     quaternion_group,
     validate_table,
 )
 from powerchroma.groups import _generating_set
 from conftest import (
+    brute_is_power,
     brute_phi,
     reference_dihedral_table,
     reference_quaternion_table,
@@ -197,6 +196,8 @@ class TestValidator:
     def test_entries_are_not_coerced(self):
         with pytest.raises(GroupTableError, match="range"):
             Group([[0, 1.9], [1.2, 0]], "x")
+        with pytest.raises(GroupTableError, match="range"):
+            Group([[False, True], [True, False]], "x")  # bool is an int subclass
 
     def test_greedy_generators_generate_and_are_few(self):
         for spec in generate_catalog(48):
@@ -236,35 +237,37 @@ class TestValidator:
 class TestQueries:
     def test_identity_order(self):
         group = construct_group("dihedral:4")
-        assert element_order(group, 0) == 1
+        assert group.element_orders[0] == 1
 
     def test_cyclic_15_element(self):
         group = construct_group("cyclic:15")
-        assert element_order(group, 3) == 5
+        assert group.element_orders[3] == 5
 
     def test_quaternion_involution(self):
         group = construct_group("quaternion:2")
-        involutions = [g for g in range(8) if element_order(group, g) == 2]
+        involutions = [g for g in range(8) if group.element_orders[g] == 2]
         assert len(involutions) == 1
 
     def test_order_out_of_range(self):
         group = construct_group("cyclic:3")
         with pytest.raises(IndexError):
-            element_order(group, 3)
+            group.powers_of(3)
 
     def test_is_power_of_examples(self):
         group = construct_group("cyclic:15")
-        assert is_power_of(group, 10, 5)  # c^10 = (c^5)^2
-        assert not is_power_of(group, 3, 5)  # <c^5> = {e, c^5, c^10}
+        assert 10 in group.powers_of(5)  # c^10 = (c^5)^2
+        assert 3 not in group.powers_of(5)  # <c^5> = {e, c^5, c^10}
         assert group.powers_of(5) == frozenset({0, 5, 10})
         for g in range(group.order):
-            assert is_power_of(group, 0, g)  # identity is a power of everything
+            assert 0 in group.powers_of(g)  # identity is a power of everything
 
     def test_powers_count_matches_order(self):
         for spec in ("cyclic:12", "dihedral:5", "quaternion:3", "product:cyclic:2,cyclic:6"):
             group = construct_group(spec)
             for g in range(group.order):
-                assert len(group.powers_of(g)) == element_order(group, g)
+                assert len(group.powers_of(g)) == group.element_orders[g]
+                powers = {a for a in range(group.order) if brute_is_power(group, a, g)}
+                assert group.powers_of(g) == powers
 
     def test_is_cyclic_cyclic_groups(self):
         for n in range(1, 65):

@@ -83,7 +83,18 @@ def test_all_names_defined_and_reexported(module):
 
 
 ROOT = PACKAGE.parent.parent
-USE_DIRS = ("src", "tests", "perfbench")
+# A test calling a function does not make a workload reach it, so only the
+# package and the benchmark count as callers.
+USE_DIRS = ("src", "perfbench")
+
+# Functions nothing in src/ or perfbench/ calls, kept on purpose.
+UNREACHED = {
+    "fixtures.c15_reference_coloring": "shipped reference data",
+    "fixtures.k15_base_table": "shipped reference data",
+    "fixtures.k15_exchanged_table": "shipped reference data",
+    "fixtures.nonabelian21_group": "shipped reference data",
+    "groups.euler_phi": "the edge count from element orders sums euler_phi terms",
+}
 
 
 def functions(tree: ast.Module):
@@ -105,10 +116,11 @@ def functions(tree: ast.Module):
 
 
 def references() -> set[str]:
-    """Every name read and attribute taken in src/, tests/ and perfbench/.
+    """Every name read and attribute taken in src/ and perfbench/, and perfbench's strings.
 
     Import lines bind aliases, not ``Name`` nodes, and ``__all__`` lists strings,
-    so neither counts as a use.
+    so neither counts as a use. The benchmark's tracer names the functions it
+    wraps as strings, so a string constant in perfbench/ counts.
     """
     names = set()
     for folder in USE_DIRS:
@@ -118,6 +130,8 @@ def references() -> set[str]:
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
+                elif folder == "perfbench" and isinstance(node, ast.Constant) and type(node.value) is str:
+                    names.add(node.value)
     return names
 
 
@@ -139,4 +153,6 @@ def test_every_function_is_used():
             if owner is not None and overrides(path.stem, owner, name):
                 continue
             unused.append(f"{path.stem}.{qualified}")
-    assert unused == []
+    # an exempt name that something now calls is a stale entry
+    assert sorted(set(UNREACHED) - set(unused)) == []
+    assert [name for name in unused if name not in UNREACHED] == []

@@ -11,14 +11,11 @@ from powerchroma import (
     MAX_JSON_ORDER,
     Graph,
     build_power_graph,
-    complement_edges,
     complete_graph,
     construct_group,
     core_subgraph,
-    element_order,
     euler_phi,
     factorize,
-    full_degree_vertices,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -34,11 +31,16 @@ C15_NON_EDGES = sorted(
 )
 
 
+def full_degree_count(graph: Graph) -> int:
+    """How many vertices are adjacent to every other vertex."""
+    return sum(graph.degree(v) == graph.n - 1 for v in range(graph.n))
+
+
 class TestBuildPowerGraph:
     def test_c15_edge_census(self):
         graph = build_power_graph(construct_group("cyclic:15"))
         assert graph.edge_count == 97
-        assert complement_edges(graph) == C15_NON_EDGES
+        assert [e for e in complete_graph(15).edges() if not graph.has_edge(*e)] == C15_NON_EDGES
 
     def test_c5_complete(self):
         graph = build_power_graph(construct_group("cyclic:5"))
@@ -90,7 +92,7 @@ class TestBuildPowerGraph:
             clique = all(
                 graph.has_edge(a, b) for i, a in enumerate(members) for b in members[i + 1 :]
             )
-            o = element_order(group, g)
+            o = group.element_orders[g]
             assert clique == (o <= 2 or factorize(o).is_prime_power), g
 
 
@@ -101,14 +103,9 @@ class TestQueries:
         assert max_degree(build_power_graph(construct_group("quaternion:2"))) == 7
 
     def test_full_degree_examples(self):
-        assert len(full_degree_vertices(build_power_graph(construct_group("cyclic:9")))) == 9
-        c15 = full_degree_vertices(build_power_graph(construct_group("cyclic:15")))
-        assert len(c15) == 1 + euler_phi(15) == 9
-        assert len(full_degree_vertices(build_power_graph(construct_group("quaternion:2")))) == 2
-
-    def test_full_degree_needs_two_vertices(self):
-        with pytest.raises(ValueError):
-            full_degree_vertices(Graph(1, []))
+        assert full_degree_count(build_power_graph(construct_group("cyclic:9"))) == 9
+        assert full_degree_count(build_power_graph(construct_group("cyclic:15"))) == 1 + euler_phi(15) == 9
+        assert full_degree_count(build_power_graph(construct_group("quaternion:2"))) == 2
 
     def test_core_dihedral3_single_vertex(self):
         core, parents = core_subgraph(build_power_graph(construct_group("dihedral:3")))
@@ -128,15 +125,16 @@ class TestQueries:
         assert parents[0] == 0
 
     def test_complement_complete_graph_empty(self):
-        assert complement_edges(complete_graph(5)) == []
+        graph = complete_graph(5)
+        assert all(graph.has_edge(u, v) for u in range(5) for v in range(u + 1, 5))
 
     def test_complement_c21_twelve_edges(self):
         group = construct_group("cyclic:21")
         graph = build_power_graph(group)
-        missing = complement_edges(graph)
+        missing = [e for e in complete_graph(21).edges() if not graph.has_edge(*e)]
         assert len(missing) == 12  # (3-1)*(7-1) pairs across the two non-generator classes
-        order3 = {v for v in range(21) if element_order(group, v) == 3}
-        order7 = {v for v in range(21) if element_order(group, v) == 7}
+        order3 = {v for v in range(21) if group.element_orders[v] == 3}
+        order7 = {v for v in range(21) if group.element_orders[v] == 7}
         assert {frozenset(e) for e in missing} == {
             frozenset({a, b}) for a in order3 for b in order7
         }
@@ -145,7 +143,8 @@ class TestQueries:
         for spec in ("cyclic:15", "dihedral:6", "quaternion:3", "product:cyclic:2,cyclic:6"):
             graph = build_power_graph(construct_group(spec))
             n = graph.n
-            assert graph.edge_count + len(complement_edges(graph)) == n * (n - 1) // 2
+            missing = [(u, v) for u in range(n) for v in range(u + 1, n) if not graph.has_edge(u, v)]
+            assert graph.edge_count + len(missing) == n * (n - 1) // 2
 
     def test_complete_iff_cyclic_prime_power(self):
         from powerchroma import generate_catalog
@@ -172,7 +171,7 @@ class TestQueries:
             ("product:cyclic:3,cyclic:3", 1),
         ]:
             graph = build_power_graph(construct_group(spec))
-            assert len(full_degree_vertices(graph)) == expected, spec
+            assert full_degree_count(graph) == expected, spec
 
 
 class TestGraphBasics:

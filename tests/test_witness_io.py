@@ -1,7 +1,10 @@
 """Witness I/O: the writers, the graph reader and the verifier against their first
 written forms (kept in conftest), and the parsers under fuzzing."""
 
+import csv
+import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from powerchroma import (
     graph_from_json,
     graph_to_json,
     load_table_text,
+    make_edge,
     parse_coloring_csv,
     parse_coloring_json,
     verify_assignment,
@@ -79,7 +83,7 @@ class TestAgainstReference:
             report = verify_proper(graph, coloring)
             assert report.valid, spec
             expected = reference_verify_assignment(
-                graph, coloring.assignment(), coloring.palette_size
+                graph, coloring.edge_color, coloring.palette_size
             )
             assert report == expected, spec
             palette, mapping = parse_coloring_csv(coloring_to_csv(coloring), graph.n)
@@ -263,6 +267,17 @@ class TestParserFuzz:
         except ColoringError:
             return
         assert type(palette) is int and all(0 <= c < palette for c in mapping.values())
+        # each edge's color c is the column whose header reads c + 1
+        rows = list(csv.reader(io.StringIO(text)))
+        cells = 0
+        for row in rows[1:]:
+            for idx, cell in enumerate(row):
+                m = re.fullmatch(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", cell.strip())
+                if m:
+                    e = make_edge(int(m[1]) % n, int(m[2]) % n)
+                    assert int(rows[0][idx]) == mapping[e] + 1
+                    cells += 1
+        assert cells == len(mapping)
 
     @given(TABLE_TEXTS)
     @settings(max_examples=300, deadline=None)
