@@ -29,7 +29,6 @@ from .exchange import (
     ExchangeFailure,
     ExchangeState,
     GroupColoring,
-    STRATEGIES,
     color_graph,
     color_power_graph,
     exchange_coloring,

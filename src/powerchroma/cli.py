@@ -24,8 +24,8 @@ from .coloring import (
     verify_assignment,
     verify_proper,
 )
-from .exchange import STRATEGIES, color_power_graph
-from .groups import GroupSpecError, GroupTableError, construct_group
+from .exchange import color_power_graph
+from .groups import GroupSpecError, GroupTableError, _decimal, construct_group
 from .overfull import core_class1_check, deficiency_report, predict_class
 from .powergraph import build_power_graph, graph_from_json, graph_to_dot, graph_to_json, max_degree
 from .toolkit import generate_catalog, run_survey
@@ -38,9 +38,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _nonnegative(text: str) -> int:
     try:
-        value = int(text)
+        value = _decimal(text)
     except ValueError:
         value = -1
     if value < 0:
@@ -96,7 +103,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_color(args) -> int:
     group = construct_group(args.spec)
-    result = color_power_graph(group, strategy=args.strategy)
+    result = color_power_graph(group)
     check = verify_proper(result.graph, result.coloring)
     certificate = result.certificate
     payload = {
@@ -190,7 +197,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("color", help="produce and verify a coloring witness")
     p.add_argument("spec", help=spec_help)
-    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--csv", help="write the coloring table here")
     p.add_argument("--json", help="write the flat coloring JSON here")
     p.add_argument("--out", help="write the summary JSON here instead of stdout")
@@ -203,7 +209,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("survey", help="classify a whole catalog of groups")
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-order", type=_integer, required=True)
     p.add_argument("--oracle-max-order", type=_nonnegative, default=0)
     p.add_argument("--witness", action="store_true", help="generate and verify colorings")
     p.add_argument("--timing", action="store_true", help="include per-group timings")

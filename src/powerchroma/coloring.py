@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
+from .groups import _decimal
 from .powergraph import Edge, Graph, _json_array, complete_graph, make_edge
 
 __all__ = [
@@ -370,7 +371,7 @@ def walk_alternating(
 # ---------------------------------------------------------------------------
 # table and JSON IO
 
-_EDGE_CELL = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
+_EDGE_CELL = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")
 
 
 def coloring_to_csv(coloring: EdgeColoring) -> str:
@@ -403,7 +404,7 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
     while labels and not labels[-1]:  # blank cells may only trail the header
         labels.pop()
     try:
-        colors = [int(h) for h in labels]
+        colors = [_decimal(h) for h in labels]
     except ValueError as exc:
         raise ColoringError(f"bad header row {header!r}") from exc
     if colors != list(range(1, len(colors) + 1)):

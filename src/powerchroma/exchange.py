@@ -52,7 +52,6 @@ __all__ = [
     "ExchangeFailure",
     "ExchangeState",
     "GroupColoring",
-    "STRATEGIES",
     "color_graph",
     "color_power_graph",
     "exchange_coloring",
@@ -331,8 +330,6 @@ def exchange_coloring(target: Graph) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # per-group dispatch
 
-STRATEGIES = ("auto", "roundrobin", "sp", "rhee", "exact")
-
 
 @dataclass
 class GroupColoring:
@@ -357,73 +354,57 @@ class GroupColoring:
         return deficiency_report(self.graph) if self.class_label == "class2" else None
 
 
-def color_power_graph(group: Group, *, strategy: str = "auto") -> GroupColoring:
+def color_power_graph(group: Group) -> GroupColoring:
     """``color_graph`` on the power graph of ``group``."""
-    return color_graph(build_power_graph(group), strategy=strategy)
+    return color_graph(build_power_graph(group))
 
 
-def color_graph(graph: Graph, *, strategy: str = "auto") -> GroupColoring:
+def color_graph(graph: Graph) -> GroupColoring:
     """Color the graph with max_degree colors when it can, and label it by the proof.
 
-    Dispatch for "auto": one vertex is trivial; even order gets the K_n round
-    robin's colors; an odd overfull graph gets the full rotation scheme; every
-    other graph goes through the exchange transform, with exact search as the
-    fallback. The class label is what the witness proves: "class1" for a
-    max_degree-coloring, "class2" for a (max_degree + 1)-coloring of an
-    overfull graph (``certificate`` is its overfull report), "indeterminate"
-    otherwise.
+    The graph alone decides the construction: one vertex is trivial; even
+    order gets the K_n round robin's colors; an odd overfull graph gets the
+    full rotation scheme; every other graph goes through the exchange
+    transform, with exact search as the fallback. The class label is what the
+    witness proves: "class1" for a max_degree-coloring, "class2" for a
+    (max_degree + 1)-coloring of an overfull graph (``certificate`` is its
+    overfull report), "indeterminate" otherwise.
     The coloring always passes verification by construction.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     n = graph.n
-    auto = strategy == "auto"
-    if auto:
-        if n == 1:
-            return _labelled(EdgeColoring(graph, 0), "trivial")
-        if n % 2 == 0:
-            strategy = "roundrobin"
-        else:
-            strategy = "sp" if is_overfull(graph) else "rhee"
-    if strategy == "roundrobin":
-        if n % 2 != 0:
-            raise ValueError("roundrobin strategy needs an even group order")
+    if n == 1:
+        return _labelled(EdgeColoring(graph, 0), "trivial")
+    if n % 2 == 0:
         return _labelled(EdgeColoring(graph, n - 1, _round_robin_pairs(graph)), "roundrobin")
-    if strategy == "sp":
-        if n % 2 == 0 or n < 3:
-            raise ValueError("sp strategy needs an odd group order >= 3")
+    if is_overfull(graph):
         return _labelled(EdgeColoring(graph, n, _rotation_pairs(graph)), "sp")
-    if strategy == "rhee":
-        try:
-            return _labelled(exchange_coloring(graph), "rhee")
-        except ExchangeFailure as failure:
-            if not auto:
-                raise
-            result = _color_exact(graph)
-            result.stats["exchange_failure"] = {
-                "remaining_extra": len(failure.remaining_extra),
-                "remaining_missing": len(failure.remaining_missing),
-            }
-            return result
-    return _color_exact(graph)
+    try:
+        return _labelled(exchange_coloring(graph), "rhee")
+    except ExchangeFailure as failure:
+        result = _color_exact(graph)
+        result.stats["exchange_failure"] = {
+            "remaining_extra": len(failure.remaining_extra),
+            "remaining_missing": len(failure.remaining_missing),
+        }
+        return result
 
 
-def _labelled(coloring: EdgeColoring, strategy: str) -> GroupColoring:
+def _labelled(coloring: EdgeColoring, construction: str) -> GroupColoring:
     """Wrap ``coloring`` with the class it proves."""
     graph = coloring.graph
     if coloring.colors_used() == max_degree(graph):
-        return GroupColoring(coloring, "class1", strategy)
+        return GroupColoring(coloring, "class1", construction)
     if is_overfull(graph):
-        return GroupColoring(coloring, "class2", strategy)
-    return GroupColoring(coloring, "indeterminate", strategy)
+        return GroupColoring(coloring, "class2", construction)
+    return GroupColoring(coloring, "indeterminate", construction)
 
 
 def _color_exact(graph: Graph) -> GroupColoring:
-    """Exact search, with a Misra-Gries witness when the search is indeterminate."""
+    """Exact search, with a Misra-Gries witness when the search spends its budget."""
     exact = oracle.exact_chromatic_index(graph)
-    witness = exact.witness if exact.determinate else oracle.misra_gries_coloring(graph)
-    result = _labelled(witness, "exact")
+    spent = exact.budget_exhausted
+    result = _labelled(oracle.misra_gries_coloring(graph) if spent else exact.witness, "exact")
     result.stats["oracle_nodes"] = exact.nodes_explored
-    if exact.budget_exhausted:
+    if spent:
         result.stats["budget_exhausted"] = True
     return result

@@ -297,7 +297,7 @@ def load_table_text(text: str, label: str = "table:<text>") -> Group:
     if not tokens:
         raise GroupTableError("table file is empty")
     try:
-        n = int(tokens[0])
+        n = _decimal(tokens[0])
     except ValueError as exc:
         raise GroupTableError(f"first value must be the order, got {tokens[0]!r}") from exc
     if n < 1:
@@ -306,7 +306,7 @@ def load_table_text(text: str, label: str = "table:<text>") -> Group:
     if len(body) != n * n:
         raise GroupTableError(f"expected {n * n} table entries, found {len(body)}")
     try:
-        values = [int(t) for t in body]
+        values = [_decimal(t) for t in body]
     except ValueError as exc:
         raise GroupTableError("table entries must be integers") from exc
     rows = [values[i * n : (i + 1) * n] for i in range(n)]
@@ -331,12 +331,14 @@ def construct_group(spec: str) -> Group:
     if not sep or not rest.strip():
         raise GroupSpecError(f"malformed group spec {spec!r}")
     rest = rest.strip()
-    if head == "cyclic":
-        return cyclic_group(_parse_int(rest, spec))
-    if head == "dihedral":
-        return dihedral_group(_parse_int(rest, spec))
-    if head == "quaternion":
-        return quaternion_group(_parse_int(rest, spec))
+    families = {"cyclic": cyclic_group, "dihedral": dihedral_group, "quaternion": quaternion_group}
+    family = families.get(head)
+    if family is not None:
+        try:
+            param = _decimal(rest)
+        except ValueError as exc:
+            raise GroupSpecError(f"expected an integer parameter in {spec!r}") from exc
+        return family(param)
     if head == "product":
         parts = [p.strip() for p in rest.split(",")]
         if len(parts) < 2:
@@ -352,8 +354,13 @@ def construct_group(spec: str) -> Group:
     raise GroupSpecError(f"unknown group family {head!r} in spec {spec!r}")
 
 
-def _parse_int(text: str, spec: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise GroupSpecError(f"expected an integer parameter in {spec!r}") from exc
+def _decimal(text: str) -> int:
+    """``int(text)`` for ASCII ``-?[0-9]+`` only; raises ValueError on anything else.
+
+    ``int`` alone also takes a '+', surrounding spaces, '_' digit separators
+    and non-ASCII digits, so the text readers parse their integers here.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)

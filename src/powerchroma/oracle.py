@@ -48,10 +48,6 @@ class OracleResult:
     nodes_explored: int
 
     @property
-    def determinate(self) -> bool:
-        return self.chromatic_index is not None
-
-    @property
     def budget_exhausted(self) -> bool:
         return self.chromatic_index is None
 

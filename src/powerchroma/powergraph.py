@@ -243,18 +243,13 @@ def graph_from_json(text: str) -> Graph:
     return graph
 
 
-def graph_to_dot(graph: Graph, coloring=None, display_labels: bool = False) -> str:
-    """DOT rendering with vertex labels and optional 1-based edge color labels."""
+def graph_to_dot(graph: Graph, display_labels: bool = False) -> str:
+    """DOT rendering with vertex labels."""
     lines = ["graph powergraph {"]
     for v in range(graph.n):
         label = str(display_vertex(v, graph.n)) if display_labels else graph.labels[v]
         lines.append(f'  n{v} [label="{label}"];')
     for u, v in graph.edges():
-        attr = ""
-        if coloring is not None:
-            color = coloring.color_of(u, v)
-            if color is not None:
-                attr = f' [label="{color + 1}"]'
-        lines.append(f"  n{u} -- n{v}{attr};")
+        lines.append(f"  n{u} -- n{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -239,7 +239,7 @@ def test_criterion_8_oracle_concordance():
     indeterminate = []
     disagreements = []
     for spec, graph, prediction, result in small_catalog_oracle():
-        if not result.determinate:
+        if result.budget_exhausted:
             indeterminate.append(spec)
             continue
         expected = max_degree(graph) + (1 if prediction.class_label == "class2" else 0)
@@ -259,7 +259,7 @@ def test_criterion_8_oracle_concordance():
         if graph.edge_count == 0:
             continue
         result = exact_chromatic_index(graph)
-        if not result.determinate:
+        if result.budget_exhausted:
             indeterminate.append(f"bipartite n={n}")
         elif result.chromatic_index != max_degree(graph):
             disagreements.append(f"bipartite n={n}")

@@ -54,6 +54,13 @@ class TestAnalyzeClassify:
         assert code == 0
         assert json.loads(out)["class"] == "class2"
 
+    @pytest.mark.parametrize("spec", ["cyclic:1_5", "cyclic:\u0665"])
+    def test_classify_refuses_a_coerced_parameter(self, capsys, spec):
+        # int() reads "1_5" as 15 and the Arabic-Indic digit five as 5
+        code, out, err = run(capsys, "classify", spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: expected an integer parameter in {spec!r}\n"
+
     def test_classify_table_spec(self, capsys, tmp_path):
         from powerchroma.fixtures import nonabelian21_text
 
@@ -87,18 +94,29 @@ class TestColor:
         assert payload["colors_used"] == 9
         assert payload["overfull_certificate"]["edge_count"] == 36
 
-    def test_color_forced_strategy(self, capsys):
-        code, out, _ = run(capsys, "color", "cyclic:15", "--strategy", "rhee")
+    def test_color_odd_class1_graph_picks_rhee(self, capsys):
+        code, out, _ = run(capsys, "color", "cyclic:15")
         assert code == 0
         assert json.loads(out)["strategy"] == "rhee"
 
-    def test_color_forced_sp_on_class1_graph_is_indeterminate(self, capsys):
-        code, out, _ = run(capsys, "color", "cyclic:15", "--strategy", "sp")
+    def test_color_indeterminate_when_fallback_spends_its_budget(self, capsys, monkeypatch):
+        import powerchroma.exchange as exchange_module
+        from powerchroma import ExchangeFailure, OracleResult
+
+        def stuck(target):
+            raise ExchangeFailure([], [], {})
+
+        monkeypatch.setattr(exchange_module, "exchange_coloring", stuck)
+        monkeypatch.setattr(
+            exchange_module.oracle, "exact_chromatic_index", lambda graph: OracleResult(None, None, 0)
+        )
+        code, out, _ = run(capsys, "color", "cyclic:15")
         assert code == 1
         payload = json.loads(out)
         assert (payload["class"], payload["colors_used"], payload["max_degree"]) == (
             "indeterminate", 15, 14
         )
+        assert payload["strategy"] == "exact"
         assert payload["verified"] is True
         assert payload["overfull_certificate"] is None
 
@@ -252,6 +270,9 @@ class TestFlagErrors:
             ("survey", "--max-order", "abc"),
             ("color", "cyclic:15", "--seed", "3"),
             ("survey", "--max-order", "3", "--oracle-max-order", "-4"),
+            ("survey", "--max-order", "1_0"),
+            ("survey", "--max-order", "3", "--oracle-max-order", "1_0"),
+            ("color", "cyclic:15", "--strategy", "rhee"),
         ],
     )
     def test_one_line_and_exit_1(self, capsys, argv):

@@ -1,7 +1,5 @@
 """Coloring verification, constructions, Kempe machinery, and table IO."""
 
-import random
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -393,6 +391,16 @@ class TestTableIO:
         with pytest.raises(ColoringError, match="out of range") as err:
             parse_coloring_csv(f'1\n"({huge}, 2)"\n', 15)
         assert huge in str(err.value) and "\n" not in str(err.value)
+
+    def test_csv_header_is_strict_decimal(self):
+        # int() reads "0_1" as 1 and "+2" as 2
+        with pytest.raises(ColoringError, match="bad header row"):
+            parse_coloring_csv('0_1,+2\n"(1, 2)","(2, 3)"\n', 15)
+
+    def test_csv_edge_cell_is_ascii_digits(self):
+        # a \d pattern takes the Arabic-Indic digit one, and int() reads it as 1
+        with pytest.raises(ColoringError, match="cannot parse edge cell"):
+            parse_coloring_csv('1\n"(\u0661, 2)"\n', 15)
 
     @pytest.mark.parametrize(
         "text",

@@ -23,7 +23,17 @@ from powerchroma import (
     verify_assignment,
     verify_proper,
 )
-from powerchroma.exchange import _Limits, _attempt_exchange, _drain, _plan, _relevant, _try_add
+from powerchroma.coloring import _rotation_pairs, _round_robin_pairs
+from powerchroma.exchange import (
+    _Limits,
+    _attempt_exchange,
+    _color_exact,
+    _drain,
+    _labelled,
+    _plan,
+    _relevant,
+    _try_add,
+)
 from powerchroma.fixtures import k15_exchanged_table
 from powerchroma.overfull import predict_class
 from powerchroma.toolkit import generate_catalog
@@ -275,17 +285,15 @@ class TestColorPowerGraph:
         assert verify_proper(result.graph, result.coloring).valid
 
     def test_forced_strategies(self):
-        assert color_power_graph(construct_group("cyclic:8"), strategy="roundrobin").colors_used == 7
-        sp = color_power_graph(construct_group("cyclic:15"), strategy="sp")
+        # each construction called directly, on a graph the dispatch would not give it
+        graph = build_power_graph(construct_group("cyclic:15"))
+        sp = _labelled(EdgeColoring(graph, 15, _rotation_pairs(graph)), "sp")
         assert sp.colors_used == 15  # one more than the optimum, still proper
         assert verify_proper(sp.graph, sp.coloring).valid
         assert sp.class_label == "indeterminate"  # 15 colors and no overfull certificate
         assert sp.certificate is None
-        rhee = color_power_graph(construct_group("cyclic:15"), strategy="rhee")
-        assert rhee.colors_used == 14
-        exact = color_power_graph(construct_group("cyclic:5"), strategy="exact")
-        assert exact.class_label == "class2"
-        assert exact.colors_used == 5
+        exact = _color_exact(build_power_graph(construct_group("cyclic:5")))
+        assert (exact.strategy, exact.class_label, exact.colors_used) == ("exact", "class2", 5)
 
     def test_class2_from_the_graph_alone(self, monkeypatch):
         def no_prediction(group):
@@ -316,12 +324,8 @@ class TestColorPowerGraph:
         assert verify_proper(result.graph, result.coloring).valid
 
     def test_strategy_validation(self):
-        with pytest.raises(ValueError):
-            color_power_graph(construct_group("cyclic:4"), strategy="magic")
-        with pytest.raises(ValueError):
-            color_power_graph(construct_group("cyclic:5"), strategy="roundrobin")
-        with pytest.raises(ValueError):
-            color_power_graph(construct_group("cyclic:4"), strategy="sp")
+        with pytest.raises(ValueError, match="round robin needs an even n >= 2, got 5"):
+            _round_robin_pairs(build_power_graph(construct_group("cyclic:5")))
         with pytest.raises(ValueError, match="round robin needs an even n >= 2, got 0"):
             color_graph(Graph(0, []))
 

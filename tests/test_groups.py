@@ -142,11 +142,17 @@ class TestConstructGroup:
     @pytest.mark.parametrize(
         "spec",
         ["", "cyclic", "cyclic:", "cyclic:zero", "dihedral:2", "quaternion:1",
-         "product:cyclic:3", "product:product:cyclic:2,cyclic:2,cyclic:3", "ring:4"],
+         "product:cyclic:3", "product:product:cyclic:2,cyclic:2,cyclic:3", "ring:4",
+         # int() reads these as 15, 5 (an Arabic-Indic digit) and 3
+         "cyclic:1_5", "cyclic:\u0665", "dihedral:+3"],
     )
     def test_malformed_specs(self, spec):
         with pytest.raises(GroupSpecError):
             construct_group(spec)
+
+    def test_negative_parameter_reaches_the_range_check(self):
+        with pytest.raises(GroupSpecError, match="order must be >= 1"):
+            construct_group("cyclic:-3")
 
     def test_family_tables_validate(self):
         for spec in ("cyclic:12", "dihedral:5", "quaternion:3",
@@ -182,6 +188,15 @@ class TestTableFiles:
         text = "5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n"
         with pytest.raises(GroupTableError, match="associativity"):
             load_table_text(text)
+
+    def test_entries_are_strict_decimal(self):
+        # int() reads "+1" as 1 and "+2" as 2
+        with pytest.raises(GroupTableError, match="table entries must be integers"):
+            load_table_text("2\n0 +1\n1 0")
+        with pytest.raises(GroupTableError, match="first value must be the order"):
+            load_table_text("+2\n0 1\n1 0")
+        with pytest.raises(GroupTableError, match="order must be >= 1, got -2"):
+            load_table_text("-2\n0 1\n1 0")
 
     def test_bad_shapes(self):
         with pytest.raises(GroupTableError):

@@ -1,4 +1,7 @@
-"""Static checks on the package source: no unused imports or functions, and a complete API."""
+"""Static checks on the package source: no unused imports or functions, and a complete API.
+
+The unused-import check covers the test modules too.
+"""
 
 import ast
 import importlib
@@ -8,6 +11,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "powerchroma"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def parse(path: Path) -> ast.Module:
@@ -54,7 +58,7 @@ def used(tree: ast.Module) -> set[str]:
     return names | set(exported(tree) or ())
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = parse(path)
     assert sorted(imported(tree) - used(tree)) == []

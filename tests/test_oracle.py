@@ -128,7 +128,7 @@ class TestExactChromaticIndex:
             n = rng.randrange(2, 10)
             graph = random_graph(rng, n, 0.5)
             result = exact_chromatic_index(graph)
-            assert result.determinate
+            assert not result.budget_exhausted
             delta = max_degree(graph)
             assert delta <= result.chromatic_index <= delta + 1 or delta == 0
             assert verify_proper(graph, result.witness).valid
@@ -146,7 +146,7 @@ class TestExactChromaticIndex:
 
     def test_oracle_agrees_with_prediction_small_catalog(self):
         for spec, graph, prediction, result in small_catalog_oracle():
-            assert result.determinate, spec
+            assert not result.budget_exhausted, spec
             expected = max_degree(graph) + (1 if prediction.class_label == "class2" else 0)
             assert result.chromatic_index == expected, spec
 

@@ -8,11 +8,8 @@ from powerchroma import (
     construct_group,
     core_class1_check,
     deficiency_report,
-    factorize,
     generate_catalog,
-    is_cyclic,
     is_overfull,
-    max_degree,
     predict_class,
 )
 
