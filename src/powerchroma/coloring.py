@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from .groups import _decimal
+from .groups import _ASCII_SPACE, _decimal
 from .powergraph import Edge, Graph, _json_array, complete_graph, make_edge
 
 __all__ = [
@@ -371,7 +371,8 @@ def walk_alternating(
 # ---------------------------------------------------------------------------
 # table and JSON IO
 
-_EDGE_CELL = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")
+# re.ASCII: \s is ASCII whitespace only, the set the cells are stripped of
+_EDGE_CELL = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$", re.ASCII)
 
 
 def coloring_to_csv(coloring: EdgeColoring) -> str:
@@ -400,7 +401,7 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
     if not rows:
         raise ColoringError("empty coloring table")
     header = rows[0]
-    labels = [h.strip() for h in header]
+    labels = [h.strip(_ASCII_SPACE) for h in header]
     while labels and not labels[-1]:  # blank cells may only trail the header
         labels.pop()
     try:
@@ -413,7 +414,7 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
     mapping: dict[Edge, int] = {}
     for row in rows[1:]:
         for idx, cell in enumerate(row):
-            cell = cell.strip()
+            cell = cell.strip(_ASCII_SPACE)
             if not cell:
                 continue
             if idx >= palette:

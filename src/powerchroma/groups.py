@@ -8,6 +8,7 @@ since the power-graph build queries them repeatedly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -283,17 +284,25 @@ def direct_product(*groups: Group) -> Group:
     return Group(table, label, names)
 
 
+# The text readers strip and split on ASCII whitespace only: a non-ASCII space
+# is part of a value, never a separator.
+_ASCII_SPACE = " \t\n\r\v\f"
+_LINE_BREAK = re.compile(r"[\n\r\v\f]")
+_FIELD = re.compile(r"\S+", re.ASCII)
+
+
 def load_table_text(text: str, label: str = "table:<text>") -> Group:
     """Parse a table file body: first value n, then n rows of n indices.
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored. Lines and values are
+    separated by ASCII whitespace only: any other character, a non-ASCII space
+    too, is part of a value and fails as an integer.
     """
     tokens: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens.extend(stripped.split())
+    for line in _LINE_BREAK.split(text):
+        fields = _FIELD.findall(line)
+        if fields and not fields[0].startswith("#"):
+            tokens.extend(fields)
     if not tokens:
         raise GroupTableError("table file is empty")
     try:
@@ -325,12 +334,12 @@ def construct_group(spec: str) -> Group:
     ``quaternion:m`` (order 4m, m >= 2), ``product:<spec>,<spec>[,...]``
     with non-product factors, or ``table:<file>``.
     """
-    text = spec.strip()
+    text = spec.strip(_ASCII_SPACE)
     head, sep, rest = text.partition(":")
-    head = head.strip().lower()
-    if not sep or not rest.strip():
+    head = head.strip(_ASCII_SPACE).lower()
+    rest = rest.strip(_ASCII_SPACE)
+    if not sep or not rest:
         raise GroupSpecError(f"malformed group spec {spec!r}")
-    rest = rest.strip()
     families = {"cyclic": cyclic_group, "dihedral": dihedral_group, "quaternion": quaternion_group}
     family = families.get(head)
     if family is not None:
@@ -340,7 +349,7 @@ def construct_group(spec: str) -> Group:
             raise GroupSpecError(f"expected an integer parameter in {spec!r}") from exc
         return family(param)
     if head == "product":
-        parts = [p.strip() for p in rest.split(",")]
+        parts = [p.strip(_ASCII_SPACE) for p in rest.split(",")]
         if len(parts) < 2:
             raise GroupSpecError(f"product spec needs at least two factors: {spec!r}")
         for part in parts:

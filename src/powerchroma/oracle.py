@@ -1,12 +1,18 @@
 """Exact small-instance ground truth for edge colorings.
 
-``is_k_edge_colorable`` runs a budgeted backtracking search over edges in
-descending degree-sum order; colors are interchangeable, so every edge at one
-chosen maximum-degree vertex is pinned to a fixed color up front, removing the
-k! relabeling factor. The pins live in one per-position mask of allowed
-colors (one bit for a pinned edge, all k for any other), so one expression
-picks every color. A counting shortcut answers "no" immediately whenever
-edge_count > k * floor(n/2), since no color class can exceed floor(n/2) edges.
+``is_k_edge_colorable`` runs a budgeted backtracking search over the edges in
+one fixed order, the order in which a greedy first descent colors them: most
+constrained first, as in Brelaz's DSATUR (CACM 22, 1979), applied to edges.
+When that descent colors every edge, the search replays it without
+backtracking, one node per edge; any fixed order keeps the search exhaustive.
+Colors are interchangeable, so every edge at one chosen maximum-degree vertex
+is pinned to a fixed color up front, removing the k! relabeling factor. The
+pins live in one per-position mask of allowed colors (one bit for a pinned
+edge, all k for any other), so one expression picks every color. Two shortcuts
+answer before any search: "yes" whenever k > max_degree, with the
+Misra-Gries witness (Vizing's theorem), and "no" whenever
+edge_count > k * floor(n/2), since no color class can exceed floor(n/2)
+edges.
 
 ``exact_chromatic_index`` only ever tests k = max_degree: by the
 Vizing-Gupta bound any graph needs either max_degree or max_degree + 1
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .coloring import EdgeColoring, walk_alternating
-from .powergraph import Graph, max_degree
+from .powergraph import Edge, Graph, max_degree
 
 __all__ = [
     "ColorabilityResult",
@@ -59,15 +65,20 @@ def is_k_edge_colorable(
         raise ValueError(f"color count must be >= 0, got {k}")
     if graph.edge_count == 0:
         return ColorabilityResult("yes", EdgeColoring(graph, k), 0)
-    if max_degree(graph) > k:
+    delta = max_degree(graph)
+    if delta > k:
         return ColorabilityResult("no", None, 0)
+    if delta < k:
+        # Vizing: max_degree + 1 colors always suffice
+        witness = misra_gries_coloring(graph).edge_color.items()
+        return ColorabilityResult("yes", EdgeColoring(graph, k, witness), 0)
     if graph.edge_count > k * (graph.n // 2):
         return ColorabilityResult("no", None, 0)
 
     degrees = [graph.degree(v) for v in range(graph.n)]
-    order = sorted(graph.edges(), key=lambda e: (-(degrees[e.u] + degrees[e.v]), e))
     top = max(degrees)
     pivot = min(v for v in range(graph.n) if degrees[v] == top)
+    order = _descent_order(graph, k, degrees, pivot)
     # the colors each position may take: the pivot's edges, in search order,
     # are pinned to colors 0, 1, 2, ...; every other edge may take any of k
     full = (1 << k) - 1
@@ -103,6 +114,42 @@ def is_k_edge_colorable(
         i += 1
         if i == m:
             return ColorabilityResult("yes", EdgeColoring(graph, k, zip(order, choice)), nodes)
+
+
+def _descent_order(graph: Graph, k: int, degrees: list[int], pivot: int) -> list[Edge]:
+    """The edges in the order a greedy first descent colors them, most constrained first.
+
+    The pivot's edges come first and take colors 0, 1, 2, ...; then the edge
+    with the fewest colors open at both ends takes its least open color. Ties
+    go to the larger degree sum, then the smaller edge. An edge with no open
+    color joins the order uncolored. Each step scans every edge left, so the
+    pass costs O(m^2).
+    """
+    full = (1 << k) - 1
+    used = [0] * graph.n  # the colors at each vertex
+    order = []
+    rest = []
+    for e in sorted(graph.edges(), key=lambda e: (-(degrees[e.u] + degrees[e.v]), e)):
+        if pivot in e:
+            bit = 1 << len(order)
+            used[e.u] |= bit
+            used[e.v] |= bit
+            order.append(e)
+        else:
+            rest.append(e)
+
+    def constraint(e: Edge) -> tuple:
+        return (full & ~(used[e.u] | used[e.v])).bit_count(), -(degrees[e.u] + degrees[e.v]), e
+
+    while rest:
+        e = min(rest, key=constraint)
+        rest.remove(e)
+        free = full & ~(used[e.u] | used[e.v])
+        bit = free & -free
+        used[e.u] |= bit
+        used[e.v] |= bit
+        order.append(e)
+    return order
 
 
 def exact_chromatic_index(graph: Graph, budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:

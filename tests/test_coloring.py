@@ -397,6 +397,14 @@ class TestTableIO:
         with pytest.raises(ColoringError, match="bad header row"):
             parse_coloring_csv('0_1,+2\n"(1, 2)","(2, 3)"\n', 15)
 
+    def test_csv_spaces_are_ascii_only(self):
+        # str.strip drops the em space in the header and \s matches the one in the cell
+        with pytest.raises(ColoringError, match="bad header row"):
+            parse_coloring_csv('\u20031\n"(1, 2)"\n', 15)
+        with pytest.raises(ColoringError, match="cannot parse edge cell"):
+            parse_coloring_csv('1\n"(1,\u20032)"\n', 15)
+        assert parse_coloring_csv(' 1\t\n" ( 1 ,\t2 ) "\n', 15) == (1, {(1, 2): 0})
+
     def test_csv_edge_cell_is_ascii_digits(self):
         # a \d pattern takes the Arabic-Indic digit one, and int() reads it as 1
         with pytest.raises(ColoringError, match="cannot parse edge cell"):

@@ -144,7 +144,9 @@ class TestConstructGroup:
         ["", "cyclic", "cyclic:", "cyclic:zero", "dihedral:2", "quaternion:1",
          "product:cyclic:3", "product:product:cyclic:2,cyclic:2,cyclic:3", "ring:4",
          # int() reads these as 15, 5 (an Arabic-Indic digit) and 3
-         "cyclic:1_5", "cyclic:\u0665", "dihedral:+3"],
+         "cyclic:1_5", "cyclic:\u0665", "dihedral:+3",
+         # str.strip drops a non-ASCII space
+         "cyclic:\u30005", "\u2003cyclic:5", "product:cyclic:2,\u00a0cyclic:2"],
     )
     def test_malformed_specs(self, spec):
         with pytest.raises(GroupSpecError):
@@ -197,6 +199,14 @@ class TestTableFiles:
             load_table_text("+2\n0 1\n1 0")
         with pytest.raises(GroupTableError, match="order must be >= 1, got -2"):
             load_table_text("-2\n0 1\n1 0")
+
+    def test_values_split_on_ascii_whitespace_only(self):
+        # str.split splits on the ideographic space, str.splitlines on U+2028
+        for text in ("2\n0\u30001\n1 0", "2\n0 1\u20281 0"):
+            with pytest.raises(GroupTableError):
+                load_table_text(text)
+        group = load_table_text("# \u7fa4\u3000\u2028 table\n2\r\n0\t1\r\n 1 0\f")
+        assert group.table == ((0, 1), (1, 0))
 
     def test_bad_shapes(self):
         with pytest.raises(GroupTableError):

@@ -87,11 +87,10 @@ def test_all_names_defined_and_reexported(module):
 
 
 ROOT = PACKAGE.parent.parent
-# A test calling a function does not make a workload reach it, so only the
-# package and the benchmark count as callers.
-USE_DIRS = ("src", "perfbench")
+BENCH = ROOT / "perfbench"
 
-# Functions nothing in src/ or perfbench/ calls, kept on purpose.
+# Functions no entry point reaches, kept on purpose. A test calling a function
+# does not make a user reach it, so tests are not entry points.
 UNREACHED = {
     "fixtures.c15_reference_coloring": "shipped reference data",
     "fixtures.k15_base_table": "shipped reference data",
@@ -101,62 +100,125 @@ UNREACHED = {
 }
 
 
-def functions(tree: ast.Module):
-    """(qualified name, class name or None, name) of every def in the module, nested too."""
-    out = []
-
-    def visit(node, owner, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, child.name, f"{prefix}{child.name}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append((f"{prefix}{child.name}", owner, child.name))
-                visit(child, None, f"{prefix}{child.name}.")
-            else:
-                visit(child, owner, prefix)
-
-    visit(tree, None, "")
-    return out
-
-
-def references() -> set[str]:
-    """Every name read and attribute taken in src/ and perfbench/, and perfbench's strings.
-
-    Import lines bind aliases, not ``Name`` nodes, and ``__all__`` lists strings,
-    so neither counts as a use. The benchmark's tracer names the functions it
-    wraps as strings, so a string constant in perfbench/ counts.
-    """
-    names = set()
-    for folder in USE_DIRS:
-        for path in (ROOT / folder).rglob("*.py"):
-            for node in ast.walk(parse(path)):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif folder == "perfbench" and isinstance(node, ast.Constant) and type(node.value) is str:
-                    names.add(node.value)
-    return names
-
-
 def overrides(module: str, owner: str, name: str) -> bool:
     """True when the method replaces one a base class defines, so its caller lives there."""
     cls = getattr(importlib.import_module(f"powerchroma.{module}"), owner)
     return any(name in vars(base) for base in cls.__mro__[1:])
 
 
-def test_every_function_is_used():
-    used_names = references()
-    unused = []
+def read_names(node: ast.AST) -> set[str]:
+    """Names read and attributes taken by the code that runs when ``node`` runs.
+
+    A nested def or class runs its decorators, defaults and bases there, and
+    its body only once something names it. Import lines bind aliases, not
+    ``Name`` nodes, and ``__all__`` lists strings, so neither counts as a use.
+    """
+    names = set()
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(child.decorator_list)
+            stack.extend(d for d in child.args.defaults + child.args.kw_defaults if d)
+            continue
+        if isinstance(child, ast.ClassDef):
+            stack.extend(child.decorator_list + child.bases + child.keywords)
+            continue
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        stack.extend(ast.iter_child_nodes(child))
+    return names
+
+
+def definitions() -> dict[str, list]:
+    """name -> [(module, qualified name, node)] for every def and class in the package."""
+    out = {}
+
+    def visit(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.setdefault(child.name, []).append((module, f"{prefix}{child.name}", child))
+                visit(module, child, f"{prefix}{child.name}.")
+            else:
+                visit(module, child, prefix)
+
     for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, owner, name in functions(parse(path)):
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if name in used_names:
-                continue
-            if owner is not None and overrides(path.stem, owner, name):
-                continue
-            unused.append(f"{path.stem}.{qualified}")
+        visit(path.stem, parse(path), "")
+    return out
+
+
+def entry_names() -> set[str]:
+    """What the program's users name: the CLI entry point, perfbench's names and traced functions.
+
+    The package's module-level code runs on import, so what it names counts too.
+    """
+    names = {"main"}  # powerchroma = "powerchroma.cli:main" and python -m powerchroma
+    for path in sorted(PACKAGE.glob("*.py")):
+        names |= read_names(parse(path))
+    for path in sorted(BENCH.rglob("*.py")):
+        tree = parse(path)
+        names |= read_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            ):
+                names |= {function for _, function in ast.literal_eval(node.value)}
+    return names
+
+
+def reached() -> set[str]:
+    """Qualified ``module.name`` of every def or class the entry names reach.
+
+    Names resolve by spelling alone, to every def or class so called, as a
+    call through an attribute does. A reached class reaches the methods its
+    instances run unnamed: the dunders and the overrides of a base class.
+    The bodies of the ``UNREACHED`` defs run too, so their helpers need no
+    entry of their own.
+    """
+    defs = definitions()
+    names = set()
+    work = []
+
+    def read(found):
+        work.extend(d for name in found - names for d in defs.get(name, ()))
+        names.update(found)
+
+    read(entry_names())
+    # an exempt def is kept on purpose, so what it calls is reached through it
+    for found in defs.values():
+        for module, qualified, node in found:
+            if f"{module}.{qualified}" in UNREACHED:
+                read(read_names(node))
+    out = set()
+    while work:
+        module, qualified, node = work.pop()
+        if f"{module}.{qualified}" in out:
+            continue
+        out.add(f"{module}.{qualified}")
+        read(read_names(node))
+        if isinstance(node, ast.ClassDef):
+            work.extend(
+                (module, f"{qualified}.{child.name}", child)
+                for child in node.body
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and (
+                    child.name.startswith("__") and child.name.endswith("__")
+                    or overrides(module, node.name, child.name)
+                )
+            )
+    return out
+
+
+def test_every_function_is_used():
+    reachable = reached()
+    unused = sorted(
+        f"{module}.{qualified}"
+        for found in definitions().values()
+        for module, qualified, node in found
+        if not isinstance(node, ast.ClassDef) and f"{module}.{qualified}" not in reachable
+    )
     # an exempt name that something now calls is a stale entry
     assert sorted(set(UNREACHED) - set(unused)) == []
     assert [name for name in unused if name not in UNREACHED] == []

@@ -15,6 +15,7 @@ from powerchroma import (
     misra_gries_coloring,
     verify_proper,
 )
+from powerchroma.oracle import _descent_order
 from conftest import (
     random_bipartite,
     random_graph,
@@ -58,37 +59,56 @@ class TestIsKEdgeColorable:
             is_k_edge_colorable(complete_graph(3), -1)
 
 
-def outcome(result) -> tuple:
-    witness = result.witness.edge_color if result.witness else None
-    return result.status, result.nodes_explored, witness
-
-
 def search_outcomes(graph: Graph, budget: int) -> dict:
-    """(k, budget) -> outcome for k = max_degree - 1 .. max_degree + 1.
+    """(k, budget) -> result for k = max_degree - 1 .. max_degree + 1.
 
-    Asserts on the way that each search matches the first-written one exactly.
+    The reference search, in its degree-sum order, decides each case
+    independently. The two orders visit different nodes, so on the way each
+    search is checked for what any fixed order must give: the reference's
+    status when both are determinate, a decision at the large budget wherever
+    the reference reaches one, ``indeterminate`` exactly past the budget, and
+    a proper witness within k colors. The order is checked to be
+    a permutation of the edges that starts with the pivot's.
     """
     out = {}
     delta = max_degree(graph)
+    degrees = [graph.degree(v) for v in range(graph.n)]
+    pivot = degrees.index(delta)
     for k in range(max(delta - 1, 0), delta + 2):
+        if graph.edge_count:
+            order = _descent_order(graph, k, degrees, pivot)
+            assert sorted(order) == graph.edges()
+            assert all(pivot in e for e in order[:delta])
         for b in (budget, 50, 3):
-            got = outcome(is_k_edge_colorable(graph, k, b))
-            assert got == outcome(reference_is_k_edge_colorable(graph, k, b)), (k, b)
+            got = is_k_edge_colorable(graph, k, b)
+            ref = reference_is_k_edge_colorable(graph, k, b)
+            if "indeterminate" not in (got.status, ref.status):
+                assert got.status == ref.status, (k, b)
+            if b == budget and ref.status != "indeterminate":
+                assert got.status != "indeterminate", (k, b)
+            assert (got.status == "indeterminate") == (got.nodes_explored > b), (k, b)
+            if got.status == "yes":
+                assert verify_proper(graph, got.witness).valid, (k, b)
+                assert got.witness.colors_used() <= k, (k, b)
             out[k, b] = got
     return out
 
 
 class TestAgainstReference:
-    """The pin mask visits the nodes the pinned-edge dict did and finds the same witness."""
+    """The most-constrained-first order decides what the degree-sum order decides."""
 
     @pytest.mark.parametrize("spec", generate_catalog(16).specs)
     def test_catalog_groups(self, spec):
         graph = build_power_graph(construct_group(spec))
-        # past order 12, cyclic:13 to 15 at k >= max_degree run to the 10^7-node
-        # default budget, seconds apiece, so searches there stop at 10^5 nodes
+        # past order 12, the reference search on cyclic:13 to 15 at k >= max_degree
+        # runs to the 10^7-node default budget, seconds apiece, so searches there
+        # stop at 10^5 nodes
         outcomes = search_outcomes(graph, DEFAULT_NODE_BUDGET if graph.n <= 12 else 100_000)
         if spec == "cyclic:12":
-            assert outcomes[11, DEFAULT_NODE_BUDGET][:2] == ("yes", 2_472_140)
+            result = outcomes[11, DEFAULT_NODE_BUDGET]
+            # the first descent colors every edge, one node per edge
+            assert graph.edge_count == 56
+            assert (result.status, result.nodes_explored) == ("yes", 56)
 
     def test_random_graphs(self, rng):
         for _ in range(100):
@@ -118,6 +138,17 @@ class TestExactChromaticIndex:
         result = exact_chromatic_index(complete_graph(n))
         assert result.chromatic_index == (n - 1 if n % 2 == 0 else n)
         assert verify_proper(complete_graph(n), result.witness).valid
+
+    def test_petersen_class2(self):
+        # 15 edges fit in 3 * floor(10/2) colors, so only the search can say no
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        petersen = Graph(10, outer + spokes + inner)
+        result = exact_chromatic_index(petersen)
+        assert result.chromatic_index == 4
+        assert result.nodes_explored > 0
+        assert verify_proper(petersen, result.witness).valid
 
     def test_edgeless(self):
         result = exact_chromatic_index(Graph(3, []))

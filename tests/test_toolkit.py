@@ -76,6 +76,16 @@ class TestSurvey:
             if report.order <= 10:
                 assert report.oracle is not None and report.oracle.agrees
 
+    def test_oracle_concordance_to_order_20(self):
+        result = run_survey(generate_catalog(20), witness=True, oracle_max_order=20)
+        assert result.mismatches == []
+        for report in result.reports:
+            assert report.oracle is not None and not report.oracle.budget_exhausted, report.spec
+            assert report.oracle.agrees, report.spec
+        # 2,662 nodes over the 43 groups; the degree-sum order spent its
+        # 10^7-node budget on each of four
+        assert sum(report.oracle.nodes_explored for report in result.reports) < 5_000
+
     def test_byte_identical_output(self):
         first = run_survey(generate_catalog(12), witness=True, oracle_max_order=8)
         second = run_survey(generate_catalog(12), witness=True, oracle_max_order=8)
