@@ -74,7 +74,6 @@ from .powergraph import (
     MAX_JSON_ORDER,
     build_power_graph,
     complete_graph,
-    core_subgraph,
     graph_from_json,
     graph_to_dot,
     graph_to_json,

@@ -3,13 +3,18 @@
 Groups are built from family specs (cyclic, dihedral, generalized quaternion,
 direct products) or loaded from table files. Element 0 is always the identity.
 Element orders and cyclic-subgroup membership are cached at construction,
-since the power-graph build queries them repeatedly.
+since the power-graph build queries them repeatedly. Construction walks the
+powers of an element only when no earlier walk reached it, so at most once per
+cyclic subgroup, and reads every subgroup inside it off that walk: if g has
+order o, then <g^k> holds every gcd(k, o)-th power of g.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import gcd
+from operator import itemgetter
 from pathlib import Path
 
 __all__ = [
@@ -116,20 +121,20 @@ def validate_table(table: tuple[tuple[int, ...], ...]) -> None:
                 raise GroupTableError(f"entry {x!r} in row {i} out of range 0..{n - 1}")
         if len(set(row)) != n:
             raise GroupTableError(f"row {i} is not a permutation (Latin square violated)")
-    for j in range(n):
-        col = {table[i][j] for i in range(n)}
-        if len(col) != n:
+    for j, col in enumerate(zip(*table)):
+        if len(set(col)) != n:
             raise GroupTableError(f"column {j} is not a permutation (Latin square violated)")
     for j in range(n):
         if table[0][j] != j:
             raise GroupTableError("element 0 is not a left identity")
         if table[j][0] != j:
             raise GroupTableError("element 0 is not a right identity")
+    # itemgetter composes rows into tuples, so compare against tuple rows
+    rows = list(map(tuple, table))
     for b in _generating_set(table):
-        row_b = table[b]
-        for a in range(n):
-            row_a = table[a]
-            if [row_a[x] for x in row_b] != list(table[row_a[b]]):
+        compose = itemgetter(*rows[b])
+        for a, row_a in enumerate(rows):
+            if compose(row_a) != rows[row_a[b]]:
                 raise GroupTableError(f"associativity fails at a={a}, b={b}")
     for a in range(n):
         b = table[a].index(0)
@@ -171,6 +176,11 @@ class Group:
     The table is validated on construction; ``element_orders[g]`` is the order
     of g and ``powers_of(g)`` the cyclic subgroup it generates (as a frozenset
     of element indices, always containing the identity).
+
+    The powers e, g, g^2, ... are walked only for a g that no earlier walk
+    reached. Every h = g^k in that walk is filled from it: with o the order of
+    g and d = gcd(k, o), h has order o / d and generates every d-th power of g.
+    Elements that generate the same subgroup share one frozenset.
     """
 
     __slots__ = ("order", "table", "element_orders", "label", "element_names", "_powers")
@@ -189,18 +199,25 @@ class Group:
                 raise ValueError("element_names length does not match group order")
         self.element_names = names
 
-        orders = []
-        powers = []
-        for g in range(self.order):
-            closure = {0}
+        n = self.order
+        orders = [1] + [0] * (n - 1)
+        powers = [frozenset({0})] * n
+        for g in range(1, n):
+            if orders[g]:
+                continue
+            seq = [0]
             x = g
-            k = 1
-            while x != 0:
-                closure.add(x)
+            while x:
+                seq.append(x)
                 x = rows[x][g]
-                k += 1
-            orders.append(k)
-            powers.append(frozenset(closure))
+            o = len(seq)
+            subgroups = {}  # d -> <g^d>, the subgroup every g^k with gcd(k, o) = d generates
+            for k, h in enumerate(seq):
+                if not orders[h]:
+                    d = gcd(k, o)
+                    if d not in subgroups:
+                        subgroups[d] = frozenset(seq[::d])
+                    orders[h], powers[h] = o // d, subgroups[d]
         self.element_orders = tuple(orders)
         self._powers = tuple(powers)
 

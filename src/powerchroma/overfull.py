@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import Group, factorize, is_cyclic
-from .powergraph import Graph, core_subgraph, max_degree
+from .powergraph import Graph, max_degree
 
 __all__ = [
     "ClassPrediction",
@@ -96,32 +96,34 @@ def core_class1_check(graph: Graph) -> CoreWitness | None:
     """Sufficient class-1 conditions from the core (max-degree induced subgraph).
 
     Returns a witness when the core has at most two vertices or is acyclic.
-    Absence of a witness is not evidence of class 2.
+    Absence of a witness is not evidence of class 2. The core is read off the
+    adjacency bitmasks, never built: k core vertices spanning m core edges in
+    c components form a forest exactly when m = k - c, so m >= k already
+    means a cycle and the components are counted only below that.
     """
     if graph.n < 1:
         return None
-    core, _ = core_subgraph(graph)
-    if core.n <= 2:
-        noun = "vertex" if core.n == 1 else "vertices"
-        return CoreWitness("core-small", core.n, f"core has {core.n} {noun}")
-    if not _has_cycle(core):
-        return CoreWitness("core-acyclic", core.n, f"core is acyclic ({core.n} vertices)")
+    top = max_degree(graph)
+    core = [v for v, row in enumerate(graph.neighbors) if len(row) == top]
+    k = len(core)
+    if k <= 2:
+        noun = "vertex" if k == 1 else "vertices"
+        return CoreWitness("core-small", k, f"core has {k} {noun}")
+    bits = graph.bits
+    mask = sum(1 << v for v in core)
+    edges = sum((bits[v] & mask).bit_count() for v in core) // 2
+    if edges >= k:
+        return None
+    components = 0
+    while mask:  # flood one component of the core at a time
+        components += 1
+        reached = frontier = mask & -mask
+        while frontier:
+            v = frontier.bit_length() - 1
+            grown = bits[v] & mask & ~reached
+            reached |= grown
+            frontier = (frontier ^ 1 << v) | grown
+        mask &= ~reached
+    if edges == k - components:
+        return CoreWitness("core-acyclic", k, f"core is acyclic ({k} vertices)")
     return None
-
-
-def _has_cycle(graph: Graph) -> bool:
-    seen = [False] * graph.n
-    for root in range(graph.n):
-        if seen[root]:
-            continue
-        stack = [(root, -1)]
-        seen[root] = True
-        while stack:
-            v, parent = stack.pop()
-            for w in graph.neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, v))
-                elif w != parent:
-                    return True
-    return False

@@ -20,7 +20,6 @@ __all__ = [
     "MAX_JSON_ORDER",
     "build_power_graph",
     "complete_graph",
-    "core_subgraph",
     "graph_from_json",
     "graph_to_dot",
     "graph_to_json",
@@ -112,19 +111,6 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges())
 
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph plus the map from new indices back to parent vertices."""
-        parents = tuple(sorted(set(vertices)))
-        back = {p: i for i, p in enumerate(parents)}
-        edges = [
-            (back[u], back[v])
-            for u in parents
-            for v in self.neighbors[u]
-            if v in back and u < v
-        ]
-        labels = [self.labels[p] for p in parents]
-        return Graph(len(parents), edges, labels), parents
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
@@ -160,14 +146,6 @@ def max_degree(graph: Graph) -> int:
     if graph.n == 0:
         return 0
     return max(graph.degree(v) for v in range(graph.n))
-
-
-def core_subgraph(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by the maximum-degree vertices, with the parent map."""
-    if graph.n < 1:
-        raise ValueError("core_subgraph needs n >= 1")
-    top = max_degree(graph)
-    return graph.induced(v for v in range(graph.n) if graph.degree(v) == top)
 
 
 def display_vertex(v: int, n: int) -> int:

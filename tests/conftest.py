@@ -16,6 +16,7 @@ from powerchroma import (
     ColorabilityResult,
     ColorConflict,
     ColoringError,
+    CoreWitness,
     EdgeColoring,
     Graph,
     Group,
@@ -33,6 +34,7 @@ from powerchroma import (
 )
 from powerchroma.coloring import walk_alternating
 from powerchroma.exchange import _sacrifice_candidates
+from powerchroma.fixtures import nonabelian21_group
 
 
 def brute_is_power(group: Group, a: int, b: int) -> bool:
@@ -54,6 +56,78 @@ def brute_power_graph_edges(group: Group) -> set:
         for b in range(a + 1, n)
         if brute_is_power(group, a, b) or brute_is_power(group, b, a)
     }
+
+
+def reference_closures(group: Group) -> tuple[tuple[int, ...], tuple[frozenset, ...]]:
+    """(element orders, cyclic subgroups) as first computed: every element's powers walked.
+
+    The library walks one generator per cyclic subgroup and reads the
+    subgroups inside it off that walk.
+    """
+    rows = group.table
+    orders = []
+    powers = []
+    for g in range(group.order):
+        closure = {0}
+        x = g
+        k = 1
+        while x != 0:
+            closure.add(x)
+            x = rows[x][g]
+            k += 1
+        orders.append(k)
+        powers.append(frozenset(closure))
+    return tuple(orders), tuple(powers)
+
+
+def reference_core_class1_check(graph: Graph) -> CoreWitness | None:
+    """The core check as first written: build the induced core subgraph, then search it for a cycle.
+
+    The library reads the core off the bitmasks and compares its edge count
+    with k - components instead.
+    """
+    if graph.n < 1:
+        return None
+    top = max_degree(graph)
+    parents = tuple(sorted(v for v in range(graph.n) if graph.degree(v) == top))
+    back = {p: i for i, p in enumerate(parents)}
+    edges = [
+        (back[u], back[v])
+        for u in parents
+        for v in graph.neighbors[u]
+        if v in back and u < v
+    ]
+    core = Graph(len(parents), edges)
+    if core.n <= 2:
+        noun = "vertex" if core.n == 1 else "vertices"
+        return CoreWitness("core-small", core.n, f"core has {core.n} {noun}")
+    if not _reference_has_cycle(core):
+        return CoreWitness("core-acyclic", core.n, f"core is acyclic ({core.n} vertices)")
+    return None
+
+
+def _reference_has_cycle(graph: Graph) -> bool:
+    seen = [False] * graph.n
+    for root in range(graph.n):
+        if seen[root]:
+            continue
+        stack = [(root, -1)]
+        seen[root] = True
+        while stack:
+            v, parent = stack.pop()
+            for w in graph.neighbors[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, v))
+                elif w != parent:
+                    return True
+    return False
+
+
+@functools.cache
+def catalog_groups_to_120() -> tuple[Group, ...]:
+    """Every catalog group up to order 120 and the order-21 fixture, built once per session."""
+    return tuple(construct_group(spec) for spec in generate_catalog(120)) + (nonabelian21_group(),)
 
 
 def reference_validate_table(table) -> None:

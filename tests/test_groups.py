@@ -25,6 +25,8 @@ from powerchroma.groups import _generating_set
 from conftest import (
     brute_is_power,
     brute_phi,
+    catalog_groups_to_120,
+    reference_closures,
     reference_dihedral_table,
     reference_quaternion_table,
     reference_validate_table,
@@ -248,6 +250,33 @@ class TestValidator:
             table = tuple(map(tuple, rows))
         assert verdict(validate_table, table) == verdict(reference_validate_table, table)
 
+    def test_integral_floats_are_not_coerced(self):
+        # {0, 1.0} == {0, 1}: a check on the set of a row's values would accept this
+        with pytest.raises(GroupTableError, match="range"):
+            Group([[0, 1.0], [1.0, 0]], "x")
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lists_and_tuples_get_one_verdict(self, data):
+        table = data.draw(st.sampled_from(SMALL_TABLES))
+        if data.draw(st.booleans()):
+            n = len(table)
+            rows = [list(row) for row in table]
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            rows[i][j] = data.draw(st.integers(0, n - 1))
+            table = tuple(map(tuple, rows))
+        expected = verdict(validate_table, table)
+        assert verdict(validate_table, [list(row) for row in table]) == expected
+        assert verdict(validate_table, list(table)) == expected
+        assert verdict(validate_table, tuple(map(list, table))) == expected
+
+    def test_lists_and_tuples_get_one_verdict_on_switched_tables(self):
+        for table in SMALL_TABLES:
+            for cells in intercalates(table)[:4]:
+                switched = switch(table, cells)
+                expected = verdict(validate_table, switched)
+                assert verdict(validate_table, [list(row) for row in switched]) == expected
+
     def test_intercalate_switches_include_nonassociative_loops(self):
         seen = set()
         for table in SMALL_TABLES:
@@ -293,6 +322,19 @@ class TestQueries:
                 assert len(group.powers_of(g)) == group.element_orders[g]
                 powers = {a for a in range(group.order) if brute_is_power(group, a, g)}
                 assert group.powers_of(g) == powers
+
+    def test_closures_match_reference(self):
+        for group in catalog_groups_to_120():
+            orders, powers = reference_closures(group)
+            assert group.element_orders == orders, group.label
+            for g in range(group.order):
+                assert group.powers_of(g) == powers[g], (group.label, g)
+
+    def test_one_frozenset_per_cyclic_subgroup(self):
+        for spec in ("cyclic:60", "dihedral:12", "quaternion:6", "product:cyclic:2,cyclic:6"):
+            group = construct_group(spec)
+            subgroups = {group.powers_of(g) for g in range(group.order)}
+            assert len({id(group.powers_of(g)) for g in range(group.order)}) == len(subgroups)
 
     def test_is_cyclic_cyclic_groups(self):
         for n in range(1, 65):

@@ -1,8 +1,11 @@
 """Overfullness decisions, deficiency budgets, and class prediction."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from powerchroma import (
+    Graph,
     build_power_graph,
     complete_graph,
     construct_group,
@@ -12,6 +15,7 @@ from powerchroma import (
     is_overfull,
     predict_class,
 )
+from conftest import catalog_groups_to_120, reference_core_class1_check
 
 
 class TestIsOverfull:
@@ -135,6 +139,65 @@ class TestCoreCheck:
             graph = build_power_graph(group)
             if core_class1_check(graph) is not None:
                 assert predict_class(group).class_label == "class1", spec
+
+
+CORE_SHAPES = ("edgeless", "forest", "clique", "any")
+
+
+@st.composite
+def planted_core(draw, shape):
+    """(graph on <= 12 vertices, its core, whether the core has a cycle).
+
+    A core of the given shape is padded with leaves: each core vertex gets
+    leaves up to a common degree above every leaf's 1, so the core is exactly
+    the planted vertices. A "clique" core is a clique on some of them, the
+    rest isolated, so it can hold a cycle with fewer edges than vertices.
+    "any" is a graph with no plan, and its cycle flag is None.
+    """
+    if shape == "any":
+        n = draw(st.integers(1, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graph = Graph(n, [e for e in pairs if draw(st.booleans())])
+        top = max(map(len, graph.neighbors))
+        return graph, [v for v in range(n) if graph.degree(v) == top], None
+    k = draw(st.integers(1, 5))
+    clique = draw(st.integers(1, k)) if shape == "clique" else 0
+    if shape == "forest":
+        parents = [draw(st.integers(-1, v - 1)) for v in range(1, k)]
+        edges = [(p, v) for v, p in enumerate(parents, start=1) if p >= 0]
+    else:
+        edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    degree = [sum(v in e for e in edges) for v in range(k)]
+    top = max(max(degree) + 1, 2)
+    n = k + sum(top - d for d in degree)
+    assume(n <= 12)
+    leaf = k
+    for v in range(k):
+        for _ in range(top - degree[v]):
+            edges.append((v, leaf))
+            leaf += 1
+    return Graph(n, edges), list(range(k)), clique >= 3
+
+
+class TestCoreCheckAgainstReference:
+    def test_catalog_to_120_and_order_21(self):
+        for group in catalog_groups_to_120():
+            graph = build_power_graph(group)
+            assert core_class1_check(graph) == reference_core_class1_check(graph), group.label
+
+    @pytest.mark.parametrize("shape", CORE_SHAPES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, shape, data):
+        graph, core, cyclic = data.draw(planted_core(shape))
+        top = max(map(len, graph.neighbors))
+        assert [v for v in range(graph.n) if graph.degree(v) == top] == core
+        if shape == "edgeless":
+            assert not any(graph.has_edge(u, v) for u in core for v in core)
+        witness = reference_core_class1_check(graph)
+        if cyclic is not None:
+            assert (witness is None) == cyclic
+        assert core_class1_check(graph) == witness
 
 
 class TestIdentityOnlyJoinBudget:

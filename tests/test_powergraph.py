@@ -13,9 +13,10 @@ from powerchroma import (
     build_power_graph,
     complete_graph,
     construct_group,
-    core_subgraph,
+    core_class1_check,
     euler_phi,
     factorize,
+    generate_catalog,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -23,6 +24,7 @@ from powerchroma import (
     make_edge,
     max_degree,
 )
+from powerchroma.fixtures import nonabelian21_group
 from conftest import brute_power_graph_edges
 
 C15_NON_EDGES = sorted(
@@ -53,22 +55,17 @@ class TestBuildPowerGraph:
         assert graph.edge_count == 16
         assert graph.edge_set == brute_power_graph_edges(group)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "cyclic:12",
-            "dihedral:4",
-            "quaternion:3",
-            "product:cyclic:3,cyclic:3",
-            "cyclic:16",
-            "product:cyclic:2,cyclic:2,cyclic:4",
-        ],
-    )
+    # the closures feed the build, so every small catalog group is checked
+    @pytest.mark.parametrize("spec", generate_catalog(32))
     def test_matches_brute_force(self, spec):
         group = construct_group(spec)
         graph = build_power_graph(group)
         assert graph.edge_set == brute_power_graph_edges(group)
         assert graph.edge_count == len(graph.edge_set)
+
+    def test_order21_fixture_matches_brute_force(self):
+        group = nonabelian21_group()
+        assert build_power_graph(group).edge_set == brute_power_graph_edges(group)
 
     def test_identity_degree(self):
         for spec in ("cyclic:9", "dihedral:6", "quaternion:2", "product:cyclic:2,cyclic:4"):
@@ -108,21 +105,23 @@ class TestQueries:
         assert full_degree_count(build_power_graph(construct_group("quaternion:2"))) == 2
 
     def test_core_dihedral3_single_vertex(self):
-        core, parents = core_subgraph(build_power_graph(construct_group("dihedral:3")))
-        assert core.n == 1
-        assert parents == (0,)
+        witness = core_class1_check(build_power_graph(construct_group("dihedral:3")))
+        assert (witness.condition, witness.core_size) == ("core-small", 1)
 
     def test_core_c15_is_k9(self):
-        core, parents = core_subgraph(build_power_graph(construct_group("cyclic:15")))
-        assert core.n == 9
-        assert core.edge_count == 36  # complete on the identity plus eight generators
-        assert 0 in parents
+        graph = build_power_graph(construct_group("cyclic:15"))
+        core = [v for v in range(15) if graph.degree(v) == 14]
+        assert len(core) == 9 and 0 in core
+        # complete on the identity plus eight generators, so it has a cycle
+        assert all(graph.has_edge(u, v) for u in core for v in core if u < v)
+        assert core_class1_check(graph) is None
 
     def test_core_q8_is_k2(self):
-        core, parents = core_subgraph(build_power_graph(construct_group("quaternion:2")))
-        assert core.n == 2
-        assert core.edge_count == 1
-        assert parents[0] == 0
+        graph = build_power_graph(construct_group("quaternion:2"))
+        witness = core_class1_check(graph)
+        assert (witness.condition, witness.core_size) == ("core-small", 2)
+        core = [v for v in range(8) if graph.degree(v) == 7]
+        assert core[0] == 0 and graph.has_edge(*core)
 
     def test_complement_complete_graph_empty(self):
         graph = complete_graph(5)
@@ -147,8 +146,6 @@ class TestQueries:
             assert graph.edge_count + len(missing) == n * (n - 1) // 2
 
     def test_complete_iff_cyclic_prime_power(self):
-        from powerchroma import generate_catalog
-
         for spec in generate_catalog(48):
             group = construct_group(spec)
             if group.order < 2:
@@ -212,12 +209,6 @@ class TestGraphBasics:
     def test_edge_count_is_half_degree_sum(self):
         graph = build_power_graph(construct_group("dihedral:5"))
         assert sum(graph.degree(v) for v in range(graph.n)) == 2 * graph.edge_count
-
-    def test_induced_keeps_labels(self):
-        graph = build_power_graph(construct_group("cyclic:4"))
-        sub, parents = graph.induced([0, 2])
-        assert sub.n == 2
-        assert [sub.labels[i] for i in range(2)] == [graph.labels[p] for p in parents]
 
 
 class TestSerialization:

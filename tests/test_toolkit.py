@@ -2,7 +2,7 @@
 
 import pytest
 
-from powerchroma import generate_catalog, run_survey
+from powerchroma import Graph, generate_catalog, run_survey
 from powerchroma.fixtures import nonabelian21_text
 from powerchroma.toolkit import _check_report, survey_group
 
@@ -141,6 +141,21 @@ class TestSurvey:
         report = survey_group("cyclic:15", witness=True)
         assert report.witness.verified
         assert calls == ["cyclic:15"]
+
+    def test_classify_survey_builds_one_graph_per_group(self, monkeypatch):
+        # every Graph is filled through _adopt_bits; the core check builds none
+        calls = []
+        adopt = Graph._adopt_bits
+
+        def counting_adopt(graph, bits, labels):
+            calls.append(len(bits))
+            adopt(graph, bits, labels)
+
+        monkeypatch.setattr(Graph, "_adopt_bits", counting_adopt)
+        catalog = generate_catalog(24)
+        result = run_survey(catalog)
+        assert len(result.reports) == len(catalog)
+        assert len(calls) == len(catalog)
 
     def test_survey_group_reports_once(self, monkeypatch):
         import powerchroma.exchange as exchange_module
