@@ -65,6 +65,7 @@ from .overfull import (
     OverfullReport,
     core_class1_check,
     deficiency_report,
+    edge_count_from_orders,
     is_overfull,
     predict_class,
 )

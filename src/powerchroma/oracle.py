@@ -174,7 +174,7 @@ def misra_gries_coloring(graph: Graph) -> EdgeColoring:
 
 
 def _mg_color_edge(coloring: EdgeColoring, u: int, v: int) -> None:
-    graph = coloring.graph
+    neighbors = [w for w in range(coloring.graph.n) if coloring.graph.bits[u] >> w & 1]
     # maximal fan of u starting at v: each next edge's color is free at the
     # previous fan vertex
     fan = [v]
@@ -182,7 +182,7 @@ def _mg_color_edge(coloring: EdgeColoring, u: int, v: int) -> None:
     while True:
         free_last = coloring.missing_at(fan[-1])
         nxt = None
-        for w in graph.neighbors[u]:
+        for w in neighbors:
             if w in in_fan:
                 continue
             cw = coloring.color_of(u, w)

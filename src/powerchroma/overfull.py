@@ -7,9 +7,10 @@ index max_degree + 1 because no color class can exceed floor(n/2) edges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .groups import Group, factorize, is_cyclic
+from .groups import Group, euler_phi, factorize, is_cyclic
 from .powergraph import Graph, max_degree
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "OverfullReport",
     "core_class1_check",
     "deficiency_report",
+    "edge_count_from_orders",
     "is_overfull",
     "predict_class",
 ]
@@ -62,16 +64,26 @@ def is_overfull(graph: Graph) -> bool:
 
 def deficiency_report(graph: Graph) -> OverfullReport:
     n = graph.n
-    deficiency = n * (n - 1) // 2 - graph.edge_count
-    budget = (n - 1) // 2 - 1 if n % 2 == 1 else None
+    delta = max_degree(graph)
     return OverfullReport(
         n=n,
         edge_count=graph.edge_count,
-        max_degree=max_degree(graph),
-        overfull=is_overfull(graph),
-        deficiency=deficiency,
-        budget=budget,
+        max_degree=delta,
+        overfull=graph.edge_count > delta * (n // 2),  # is_overfull on this report's delta
+        deficiency=n * (n - 1) // 2 - graph.edge_count,
+        budget=(n - 1) // 2 - 1 if n % 2 == 1 else None,
     )
+
+
+def edge_count_from_orders(group: Group) -> int:
+    """The power graph's edge count from the element orders alone; no graph is built.
+
+    Each y is joined to the o(y) - 1 others in <y>. Summed over y, that counts twice
+    the phi(o(y)) - 1 edges from y to the other generators of <y>, and every other
+    edge once. So |E| = sum o(x) - (n + sum phi(o(x))) / 2.
+    """
+    counts = Counter(group.element_orders)
+    return (sum(k * (2 * o - euler_phi(o)) for o, k in counts.items()) - group.order) // 2
 
 
 def predict_class(group: Group) -> ClassPrediction:
@@ -104,7 +116,7 @@ def core_class1_check(graph: Graph) -> CoreWitness | None:
     if graph.n < 1:
         return None
     top = max_degree(graph)
-    core = [v for v, row in enumerate(graph.neighbors) if len(row) == top]
+    core = [v for v, m in enumerate(graph.bits) if m.bit_count() == top]
     k = len(core)
     if k <= 2:
         noun = "vertex" if k == 1 else "vertices"

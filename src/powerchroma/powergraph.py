@@ -1,8 +1,8 @@
 """Simple undirected graphs, the power-graph construction, and structural queries.
 
-Vertices are 0..n-1. Adjacency is kept both as sorted neighbor tuples and as
-one bitmask per vertex so edge tests are O(1); everything is immutable after
-construction.
+Vertices are 0..n-1. Adjacency is one bitmask per vertex and nothing else:
+edge tests and degrees read it in O(1), and ``Graph.edges`` decodes it on
+request. Everything is immutable after construction.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ def make_edge(a: int, b: int) -> Edge:
 
 
 class Graph:
-    """Immutable simple graph with sorted neighbor sets and per-vertex bitmasks."""
+    """Immutable simple graph held as one adjacency bitmask per vertex."""
 
-    __slots__ = ("n", "neighbors", "bits", "edge_count", "labels")
+    __slots__ = ("n", "bits", "edge_count", "labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels=None):
         if n < 0:
@@ -78,13 +78,7 @@ class Graph:
         n = len(bits)
         self.n = n
         self.bits = tuple(bits)
-        # bin() lists the bits high to low; reversed and mapped to 0/1 bytes it
-        # selects the neighbors of each vertex in increasing order.
-        self.neighbors = tuple(
-            tuple(compress(range(n), bin(m)[:1:-1].encode().translate(_BIT_BYTES)))
-            for m in bits
-        )
-        self.edge_count = sum(m.bit_count() for m in bits) // 2
+        self.edge_count = sum(map(int.bit_count, bits)) // 2
         if labels is None:
             self.labels = tuple(str(i) for i in range(n))
         else:
@@ -99,13 +93,11 @@ class Graph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
-        return len(self.neighbors[v])
+        return self.bits[v].bit_count()
 
     def edges(self) -> list[Edge]:
-        """Every edge once, sorted: the rows are already in increasing order."""
-        return [
-            _new_tuple(Edge, (u, v)) for u, row in enumerate(self.neighbors) for v in row if u < v
-        ]
+        """Every edge once, sorted: each row's bits above u, decoded in increasing order."""
+        return [_new_tuple(Edge, (u, v)) for u, m in enumerate(self.bits) for v in _row(m, u + 1)]
 
     @property
     def edge_set(self) -> frozenset[Edge]:
@@ -113,6 +105,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _row(mask: int, low: int):
+    """The vertices at or above ``low`` set in ``mask``, in increasing order."""
+    rest = mask >> low
+    selectors = bin(rest)[:1:-1].encode().translate(_BIT_BYTES)  # bin() lists bits high to low
+    return compress(range(low, low + rest.bit_length()), selectors)
 
 
 def complete_graph(n: int) -> Graph:
@@ -125,27 +124,29 @@ def complete_graph(n: int) -> Graph:
 
 
 def build_power_graph(group: Group) -> Graph:
-    """Power graph of a group: a ~ b iff one is a power of the other (a != b)."""
-    n = group.order
-    bits = [0] * n
-    for b in range(n):
-        bit_b = 1 << b
-        mask = 0
-        for a in group.powers_of(b):
-            bits[a] |= bit_b
-            mask |= 1 << a
-        bits[b] |= mask
-    for v in range(n):
-        bits[v] &= ~(1 << v)  # every element is among its own powers
+    """Power graph of a group: a ~ b iff one is a power of the other (a != b).
+
+    So a ~ b when a lies in the cyclic subgroup b generates. Each distinct subgroup
+    (one frozenset in ``Group``) is walked once and joined to all its generators.
+    """
+    generators: dict[frozenset[int], list[int]] = {}
+    for b in range(group.order):
+        generators.setdefault(group.powers_of(b), []).append(b)
+    bits = [0] * group.order
+    for subgroup, gens in generators.items():
+        gen_mask = sum(1 << b for b in gens)
+        for a in subgroup:
+            bits[a] |= gen_mask
+        sub_mask = sum(1 << a for a in subgroup)
+        for b in gens:  # gen_mask gave b its own bit; no other subgroup's does
+            bits[b] = (bits[b] | sub_mask) & ~(1 << b)
     graph = Graph.__new__(Graph)
     graph._adopt_bits(bits, group.element_names)
     return graph
 
 
 def max_degree(graph: Graph) -> int:
-    if graph.n == 0:
-        return 0
-    return max(graph.degree(v) for v in range(graph.n))
+    return max(map(int.bit_count, graph.bits), default=0)
 
 
 def display_vertex(v: int, n: int) -> int:

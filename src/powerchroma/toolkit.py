@@ -18,7 +18,7 @@ from . import oracle
 from .coloring import verify_proper
 from .exchange import color_graph
 from .groups import construct_group
-from .overfull import core_class1_check, deficiency_report, predict_class
+from .overfull import core_class1_check, deficiency_report, edge_count_from_orders, predict_class
 from .powergraph import build_power_graph
 
 __all__ = [
@@ -111,6 +111,7 @@ class ClassReport:
     odd: bool
     prime_power: bool
     edge_count: int
+    edge_count_from_orders: int  # the audit's second derivation; not serialized
     max_degree: int
     deficiency: int
     budget: int | None
@@ -125,6 +126,7 @@ class ClassReport:
     def to_dict(self, include_timing: bool = False) -> dict:
         out = asdict(self)
         elapsed_ms = out.pop("elapsed_ms")
+        del out["edge_count_from_orders"]
         if include_timing:
             out["elapsed_ms"] = round(elapsed_ms, 3)
         return out
@@ -196,6 +198,7 @@ def survey_group(spec: str, *, witness: bool = False, oracle_max_order: int = 0)
         odd=prediction.facts.odd,
         prime_power=prediction.facts.prime_power,
         edge_count=report.edge_count,
+        edge_count_from_orders=edge_count_from_orders(group),
         max_degree=report.max_degree,
         deficiency=report.deficiency,
         budget=report.budget,
@@ -215,6 +218,11 @@ def _check_report(report: ClassReport) -> list[str]:
         problems.append(
             f"{report.spec}: predicted {report.predicted_class} does not track "
             f"overfull={report.overfull}"
+        )
+    if report.edge_count != report.edge_count_from_orders:
+        problems.append(
+            f"{report.spec}: {report.edge_count} edges, element orders give "
+            f"{report.edge_count_from_orders}"
         )
     if report.core_condition is not None and report.predicted_class == "class2":
         problems.append(f"{report.spec}: core witness present but predicted class2")

@@ -58,6 +58,32 @@ def brute_power_graph_edges(group: Group) -> set:
     }
 
 
+def brute_row(graph: Graph, u: int) -> list[int]:
+    """The neighbours of u in increasing order, one bit test per vertex."""
+    return [v for v in range(graph.n) if graph.bits[u] >> v & 1]
+
+
+def reference_build_power_graph(group: Group) -> Graph:
+    """``build_power_graph`` as first written: every element's powers walked.
+
+    The library walks each distinct cyclic subgroup once instead.
+    """
+    n = group.order
+    bits = [0] * n
+    for b in range(n):
+        bit_b = 1 << b
+        mask = 0
+        for a in group.powers_of(b):
+            bits[a] |= bit_b
+            mask |= 1 << a
+        bits[b] |= mask
+    for v in range(n):
+        bits[v] &= ~(1 << v)  # every element is among its own powers
+    graph = Graph.__new__(Graph)
+    graph._adopt_bits(bits, group.element_names)
+    return graph
+
+
 def reference_closures(group: Group) -> tuple[tuple[int, ...], tuple[frozenset, ...]]:
     """(element orders, cyclic subgroups) as first computed: every element's powers walked.
 
@@ -94,7 +120,7 @@ def reference_core_class1_check(graph: Graph) -> CoreWitness | None:
     edges = [
         (back[u], back[v])
         for u in parents
-        for v in graph.neighbors[u]
+        for v in brute_row(graph, u)
         if v in back and u < v
     ]
     core = Graph(len(parents), edges)
@@ -115,7 +141,7 @@ def _reference_has_cycle(graph: Graph) -> bool:
         seen[root] = True
         while stack:
             v, parent = stack.pop()
-            for w in graph.neighbors[v]:
+            for w in brute_row(graph, v):
                 if not seen[w]:
                     seen[w] = True
                     stack.append((w, v))
@@ -251,7 +277,7 @@ def reference_drain(state, depth, limits) -> bool:
 
 def reference_graph_to_json(graph: Graph) -> str:
     """The graph writer as first written, through ``json.dumps(indent=2)``."""
-    edges = sorted(make_edge(u, v) for u in range(graph.n) for v in graph.neighbors[u] if u < v)
+    edges = sorted(make_edge(u, v) for u in range(graph.n) for v in brute_row(graph, u) if u < v)
     payload = {"n": graph.n, "edges": [[u, v] for u, v in edges], "labels": list(graph.labels)}
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -367,7 +393,7 @@ def reference_verify_assignment(graph: Graph, mapping: dict, palette_size: int):
                 conflicts.append(ColorConflict(x, color, prev, e))
     foreign_set = set(foreign)
     colored = {e for e in normalized if e not in foreign_set}
-    every = {make_edge(u, v) for u in range(graph.n) for v in graph.neighbors[u]}
+    every = {make_edge(u, v) for u in range(graph.n) for v in brute_row(graph, u)}
     return VerificationReport(
         n=graph.n,
         palette_size=palette_size,

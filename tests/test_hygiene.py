@@ -96,7 +96,6 @@ UNREACHED = {
     "fixtures.k15_base_table": "shipped reference data",
     "fixtures.k15_exchanged_table": "shipped reference data",
     "fixtures.nonabelian21_group": "shipped reference data",
-    "groups.euler_phi": "the edge count from element orders sums euler_phi terms",
 }
 
 

@@ -11,6 +11,7 @@ from powerchroma import (
     construct_group,
     core_class1_check,
     deficiency_report,
+    edge_count_from_orders,
     generate_catalog,
     is_overfull,
     predict_class,
@@ -158,7 +159,7 @@ def planted_core(draw, shape):
         n = draw(st.integers(1, 12))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         graph = Graph(n, [e for e in pairs if draw(st.booleans())])
-        top = max(map(len, graph.neighbors))
+        top = max(map(int.bit_count, graph.bits))
         return graph, [v for v in range(n) if graph.degree(v) == top], None
     k = draw(st.integers(1, 5))
     clique = draw(st.integers(1, k)) if shape == "clique" else 0
@@ -190,7 +191,7 @@ class TestCoreCheckAgainstReference:
     @settings(max_examples=40, deadline=None)
     def test_random_graphs(self, shape, data):
         graph, core, cyclic = data.draw(planted_core(shape))
-        top = max(map(len, graph.neighbors))
+        top = max(map(int.bit_count, graph.bits))
         assert [v for v in range(graph.n) if graph.degree(v) == top] == core
         if shape == "edgeless":
             assert not any(graph.has_edge(u, v) for u in core for v in core)
@@ -198,6 +199,18 @@ class TestCoreCheckAgainstReference:
         if cyclic is not None:
             assert (witness is None) == cyclic
         assert core_class1_check(graph) == witness
+
+
+class TestEdgeCountFromOrders:
+    def test_small_cases(self):
+        # K_9, and cyclic:15 with its eight non-edges between orders 5 and 3
+        assert edge_count_from_orders(construct_group("cyclic:9")) == 36
+        assert edge_count_from_orders(construct_group("cyclic:15")) == 97
+        assert edge_count_from_orders(construct_group("cyclic:1")) == 0
+
+    def test_catalog_to_120_and_order_21(self):
+        for group in catalog_groups_to_120():
+            assert edge_count_from_orders(group) == build_power_graph(group).edge_count, group.label
 
 
 class TestIdentityOnlyJoinBudget:

@@ -25,7 +25,12 @@ from powerchroma import (
     max_degree,
 )
 from powerchroma.fixtures import nonabelian21_group
-from conftest import brute_power_graph_edges
+from conftest import (
+    brute_power_graph_edges,
+    brute_row,
+    catalog_groups_to_120,
+    reference_build_power_graph,
+)
 
 C15_NON_EDGES = sorted(
     make_edge(a, b)
@@ -91,6 +96,61 @@ class TestBuildPowerGraph:
             )
             o = group.element_orders[g]
             assert clique == (o <= 2 or factorize(o).is_prime_power), g
+
+
+# the most cyclic subgroups for their order: 255 of order 2 in 256 elements, 121 of order 3 in 243
+ELEMENTARY_ABELIAN = [
+    "product:" + ",".join(["cyclic:2"] * 8),
+    "product:" + ",".join(["cyclic:3"] * 5),
+]
+
+
+class TestBuildAgainstReference:
+    """The walk per cyclic subgroup gives the graph the walk per element gave."""
+
+    @staticmethod
+    def assert_same_build(group):
+        fast, slow = build_power_graph(group), reference_build_power_graph(group)
+        assert fast.bits == slow.bits, group.label
+        assert fast.edges() == slow.edges(), group.label
+        assert (fast.edge_count, fast.labels) == (slow.edge_count, slow.labels), group.label
+
+    def test_catalog_to_120_and_order_21(self):
+        for group in catalog_groups_to_120():
+            self.assert_same_build(group)
+
+    @pytest.mark.parametrize("spec", ["cyclic:255"] + ELEMENTARY_ABELIAN)
+    def test_large_orders(self, spec):
+        self.assert_same_build(construct_group(spec))
+
+
+def brute_queries(graph: Graph) -> tuple:
+    """(edges, degrees, max degree) from rows decoded one bit test at a time."""
+    rows = [brute_row(graph, u) for u in range(graph.n)]
+    edges = [make_edge(u, v) for u, row in enumerate(rows) for v in row if u < v]
+    return edges, [len(row) for row in rows], max(map(len, rows), default=0)
+
+
+def queries(graph: Graph) -> tuple:
+    degrees = [graph.degree(v) for v in range(graph.n)]
+    return graph.edges(), degrees, max_degree(graph)
+
+
+class TestQueriesFromBits:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_edges(self, n):
+        graph = Graph(n, [])
+        assert queries(graph) == brute_queries(graph) == ([], [0] * n, 0)
+
+    # past 64 vertices a row spans several machine words
+    @given(st.integers(min_value=0, max_value=80), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, n, data):
+        vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+        pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(pairs, max_size=3 * n)) if n >= 2 else []
+        graph = Graph(n, edges)
+        assert queries(graph) == brute_queries(graph)
 
 
 class TestQueries:
@@ -200,7 +260,6 @@ class TestGraphBasics:
         fast = complete_graph(n)
         slow = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         assert fast.n == slow.n
-        assert fast.neighbors == slow.neighbors
         assert fast.bits == slow.bits
         assert fast.edge_count == slow.edge_count
         assert fast.labels == slow.labels

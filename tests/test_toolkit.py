@@ -2,7 +2,7 @@
 
 import pytest
 
-from powerchroma import Graph, generate_catalog, run_survey
+from powerchroma import Graph, build_power_graph, construct_group, generate_catalog, run_survey
 from powerchroma.fixtures import nonabelian21_text
 from powerchroma.toolkit import _check_report, survey_group
 
@@ -156,6 +156,41 @@ class TestSurvey:
         result = run_survey(catalog)
         assert len(result.reports) == len(catalog)
         assert len(calls) == len(catalog)
+
+    def test_classify_survey_decodes_no_row(self, monkeypatch):
+        # degrees, the core and the report all read the bitmasks directly
+        import powerchroma.powergraph as powergraph_module
+
+        rows = []
+        decode = powergraph_module.compress  # selects a row's neighbours from its bits
+
+        def counting_decode(data, selectors):
+            rows.append(data)
+            return decode(data, selectors)
+
+        monkeypatch.setattr(powergraph_module, "compress", counting_decode)
+        assert run_survey(generate_catalog(24)).consistent
+        assert rows == []
+        build_power_graph(construct_group("cyclic:3")).edges()
+        assert len(rows) == 3  # one decode per row of cyclic:3: the hook sees them
+
+    def test_a_dropped_edge_is_a_mismatch(self, monkeypatch):
+        import powerchroma.toolkit as toolkit_module
+
+        build = toolkit_module.build_power_graph
+
+        def drop_one_edge(group):
+            graph = build(group)
+            return Graph(graph.n, graph.edges()[1:], graph.labels)
+
+        monkeypatch.setattr(toolkit_module, "build_power_graph", drop_one_edge)
+        result = run_survey(generate_catalog(24))
+        # cyclic:1 has no edge to drop; every other group is one edge short
+        assert [p for p in result.mismatches if "element orders" in p] == [
+            f"{r.spec}: {r.edge_count} edges, element orders give {r.edge_count + 1}"
+            for r in result.reports
+            if r.order > 1
+        ]
 
     def test_survey_group_reports_once(self, monkeypatch):
         import powerchroma.exchange as exchange_module
