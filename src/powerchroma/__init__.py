@@ -34,7 +34,6 @@ from .exchange import (
     exchange_coloring,
 )
 from .groups import (
-    Factorization,
     Group,
     GroupSpecError,
     GroupTableError,

@@ -1,4 +1,4 @@
-"""Edge colorings: verification, constructions, two-color walks, and table/JSON IO.
+"""Edge colorings: verification, constructions, Kempe path inversion, and table/JSON IO.
 
 Colors are 0-based internally and 1-based in every export, matching the usual
 table presentation. Every coloring is built by one checked fill: the
@@ -24,7 +24,6 @@ import json
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
 
 from .groups import _ASCII_SPACE, _decimal
 from .powergraph import Edge, Graph, _json_array, complete_graph, make_edge
@@ -108,14 +107,6 @@ class EdgeColoring:
     def color_of(self, a: int, b: int) -> int | None:
         return self.edge_color.get(make_edge(a, b))
 
-    def neighbor_at(self, v: int, color: int) -> int | None:
-        """The neighbor joined to v by an edge of this color, if any."""
-        p = self.palette_size
-        if not 0 <= color < p:
-            return None
-        w = self.at[v * p + color]
-        return None if w < 0 else w
-
     def missing_at(self, v: int) -> set[int]:
         p = self.palette_size
         return {c for c, w in enumerate(self.at[v * p:(v + 1) * p]) if w < 0}
@@ -142,31 +133,32 @@ class EdgeColoring:
     def colors_used(self) -> int:
         return len(set(self.edge_color.values()))
 
-    def swap_path_colors(self, vertices, a: int, b: int) -> None:
-        """In-place a <-> b swap along consecutive colored edges of a path.
+    def invert_path(self, v: int, first: int, second: int) -> list[int]:
+        """Swap ``first`` and ``second`` along the two-color path from v; return its vertices.
 
-        Low level: callers must pass a maximal alternating path (or a full
-        cycle with the first vertex repeated); properness is preserved then.
+        The path leaves v along ``first`` and alternates until it cannot go on.
+        v must miss ``second``, so it ends the path and the path is never a
+        cycle. Each end misses the color its end edge is swapped to, so the
+        coloring stays proper.
         """
-        if len(vertices) < 2:
-            return
-        edges = [make_edge(x, y) for x, y in zip(vertices, vertices[1:])]
-        olds = []
-        for e in edges:
-            color = self.edge_color[e]
-            if color not in (a, b):
-                raise ColoringError(f"edge {tuple(e)} carries color {color}, not {a} or {b}")
-            olds.append(color)
-        p = self.palette_size
-        at = self.at
-        for (u, v), c in zip(edges, olds):
-            at[u * p + c] = -1
-            at[v * p + c] = -1
-        for e, c in zip(edges, olds):
-            new = b if c == a else a
-            self.edge_color[e] = new
-            at[e.u * p + new] = e.v
-            at[e.v * p + new] = e.u
+        p, at = self.palette_size, self.at
+        # the range tests keep a negative index from wrapping into another row
+        if not (0 <= first < p and 0 <= second < p):
+            raise ColoringError(f"colors {first}, {second} outside palette 0..{p - 1}")
+        if not 0 <= v < self.graph.n or at[v * p + second] >= 0:
+            raise ColoringError(f"vertex {v} is out of range or has color {second}")
+        edge_color = self.edge_color
+        path = [v]
+        x, col, new = v, first, second
+        while (y := at[x * p + col]) >= 0:
+            edge_color[make_edge(x, y)] = new
+            path.append(y)
+            x, col, new = y, new, col
+        # every path vertex trades its two partners; an end's missing one stays -1
+        for w in path:
+            i, j = w * p + first, w * p + second
+            at[i], at[j] = at[j], at[i]
+        return path
 
     def __repr__(self) -> str:
         return (
@@ -340,32 +332,6 @@ def restrict_coloring(coloring: EdgeColoring, graph: Graph) -> EdgeColoring:
         raise ColoringError("restriction target must have the same vertex set")
     kept = sorted(pair for pair in coloring.items() if graph.has_edge(*pair[0]))
     return EdgeColoring(graph, coloring.palette_size, kept)
-
-
-# ---------------------------------------------------------------------------
-# alternating walks
-
-
-def walk_alternating(
-    neighbor_at: Callable[[int, int], int | None], v: int, first: int, second: int
-) -> tuple[list[int], bool]:
-    """Follow the alternating trail from v starting along `first`.
-
-    Returns (vertices, closed); closed means the trail returned to v, i.e. the
-    two-color component through v is a cycle. Each vertex has at most one edge
-    per color, so the walk is forced.
-    """
-    seq = [v]
-    cur, col = v, first
-    while True:
-        nxt = neighbor_at(cur, col)
-        if nxt is None:
-            return seq, False
-        if nxt == v:
-            return seq, True
-        seq.append(nxt)
-        cur = nxt
-        col = second if col == first else first
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Edge-exchange engine and the per-group coloring dispatcher.
+"""Edge-exchange engine, built on Kempe path inversion, and the coloring dispatcher.
 
 ``exchange_coloring`` turns the rotation base coloring of K_n (odd n, n-1
 colors, one near-perfect matching left out) into a total (n-1)-coloring of a
 target subgraph with a full-degree vertex. Edges the base colors but the
 target lacks are traded one-for-one against target edges the base misses;
-each trade is realized by at most one Kempe path inversion. The working graph
+each trade is realized by at most one Kempe path inversion
+(``EdgeColoring.invert_path``). The working graph
 keeps a constant number of colored edges, so every color class stays a
 near-perfect matching throughout; the final coloring leaves the surplus out.
 
@@ -15,7 +16,7 @@ all under a budget of ``NODE_BUDGET`` chain calls. The state works on the
 same ``EdgeColoring`` table as every other coloring. When the drain fails,
 ``ExchangeFailure`` carries diagnostics and proves nothing about the
 target's chromatic index; ``color_graph`` then falls back to exact
-search.
+search, as it does for every graph with no full-degree vertex.
 
 An attempt to trade a colored edge r (color x) for an absent edge t = (u, v)
 removes r and then looks for a color missing at both u and v, or for a pair
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import oracle
-from .coloring import EdgeColoring, _round_robin_pairs, _rotation_pairs, walk_alternating
+from .coloring import EdgeColoring, _round_robin_pairs, _rotation_pairs
 from .groups import Group
 from .overfull import OverfullReport, deficiency_report, is_overfull
 from .powergraph import Edge, Graph, build_power_graph, complete_graph, make_edge, max_degree
@@ -161,8 +162,8 @@ def _plan(state: ExchangeState, add: Edge) -> tuple[int, int] | None:
     shared = set(missing_u).intersection(missing_v)
     if shared:
         return min(shared), -1
-    # the walk is inlined, not ``walk_alternating``, since it runs on every
-    # attempt; on success ``_attempt_exchange`` re-walks it to collect vertices
+    # the walk is inlined and read-only, since it runs on every attempt; on
+    # success ``_attempt_exchange`` inverts the path with ``invert_path``
     for alpha in missing_u:
         for beta in missing_v:
             # v has alpha and misses beta, so this walk runs to the path's far end
@@ -202,8 +203,7 @@ def _attempt_exchange(state: ExchangeState, remove: Edge, add: Edge) -> bool:
     if beta < 0:
         state.stats["direct"] += 1
     else:
-        verts, _ = walk_alternating(state.neighbor_at, add.v, color, beta)
-        state.swap_path_colors(verts, color, beta)
+        state.invert_path(add.v, color, beta)  # v misses beta
         state.stats["inversions"] += 1
     state.add_edge(add, color)
     state.stats["exchanges"] += 1
@@ -362,9 +362,10 @@ def color_power_graph(group: Group) -> GroupColoring:
 def color_graph(graph: Graph) -> GroupColoring:
     """Color the graph with max_degree colors when it can, and label it by the proof.
 
-    The graph alone decides the construction: one vertex is trivial; even
-    order gets the K_n round robin's colors; an odd overfull graph gets the
-    full rotation scheme; every other graph goes through the exchange
+    The graph alone decides the construction: at most one vertex is trivial;
+    a graph with no full-degree vertex goes to exact search; otherwise even
+    order gets the K_n round robin's colors, an odd overfull graph gets the
+    full rotation scheme, and every other graph goes through the exchange
     transform, with exact search as the fallback. The class label is what the
     witness proves: "class1" for a max_degree-coloring, "class2" for a
     (max_degree + 1)-coloring of an overfull graph (``certificate`` is its
@@ -372,8 +373,10 @@ def color_graph(graph: Graph) -> GroupColoring:
     The coloring always passes verification by construction.
     """
     n = graph.n
-    if n == 1:
+    if n <= 1:
         return _labelled(EdgeColoring(graph, 0), "trivial")
+    if max_degree(graph) < n - 1:  # round robin, rotation and exchange need one
+        return _color_exact(graph)
     if n % 2 == 0:
         return _labelled(EdgeColoring(graph, n - 1, _round_robin_pairs(graph)), "roundrobin")
     if is_overfull(graph):

@@ -12,13 +12,11 @@ order o, then <g^k> holds every gcd(k, o)-th power of g.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 from pathlib import Path
 
 __all__ = [
-    "Factorization",
     "Group",
     "GroupSpecError",
     "GroupTableError",
@@ -44,33 +42,11 @@ class GroupTableError(ValueError):
     """Multiplication table violates the group axioms."""
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as (prime, exponent) pairs, primes strictly increasing."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Trial-division factorization of n >= 1 as (prime, exponent) pairs, primes increasing.
 
-    factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for prime, exponent in self.factors:
-            out *= prime**exponent
-        return out
-
-    @property
-    def is_prime_power(self) -> bool:
-        """True for p^k with k >= 1; 1 factors to the empty product and is not one."""
-        return len(self.factors) == 1
-
-
-def factorize(n: int) -> Factorization:
-    """Trial-division factorization of n >= 1 (1 yields the empty product)."""
+    1 yields the empty product; n is a prime power exactly when there is one pair.
+    """
     if n < 1:
         raise ValueError(f"factorize({n}): expected n >= 1")
     factors: list[tuple[int, int]] = []
@@ -86,7 +62,7 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    return Factorization(tuple(factors))
+    return tuple(factors)
 
 
 def euler_phi(n: int) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .coloring import EdgeColoring, walk_alternating
+from .coloring import EdgeColoring
 from .powergraph import Edge, Graph, max_degree
 
 __all__ = [
@@ -198,9 +198,7 @@ def _mg_color_edge(coloring: EdgeColoring, u: int, v: int) -> None:
     d = min(coloring.missing_at(fan[-1]))
     if d not in coloring.missing_at(u):
         # flip the maximal c/d path out of u so that d becomes free at u
-        verts, closed = walk_alternating(coloring.neighbor_at, u, d, c)
-        assert not closed, "c is free at u, so u cannot lie on a c/d cycle"
-        coloring.swap_path_colors(verts, c, d)
+        coloring.invert_path(u, d, c)  # u misses c
 
     # rotate the shortest fan prefix ending at a vertex where d is now free
     # and whose fan property survived the inversion

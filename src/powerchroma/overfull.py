@@ -92,7 +92,7 @@ def predict_class(group: Group) -> ClassPrediction:
     facts = GroupFacts(
         is_cyclic=is_cyclic(group),
         odd=n % 2 == 1,
-        prime_power=factorize(n).is_prime_power,
+        prime_power=len(factorize(n)) == 1,
     )
     if facts.is_cyclic and facts.odd and facts.prime_power and n >= 3:
         return ClassPrediction("class2", "odd-prime-power-cyclic-overfull", facts)

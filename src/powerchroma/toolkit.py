@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import oracle
 from .coloring import verify_proper
@@ -124,7 +124,10 @@ class ClassReport:
     elapsed_ms: float
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))
+        for key in ("witness", "oracle"):
+            if out[key] is not None:
+                out[key] = dict(vars(out[key]))
         elapsed_ms = out.pop("elapsed_ms")
         del out["edge_count_from_orders"]
         if include_timing:

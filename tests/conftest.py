@@ -8,6 +8,7 @@ import io
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from powerchroma import (
     ColorConflict,
     ColoringError,
     CoreWitness,
+    Edge,
     EdgeColoring,
     Graph,
     Group,
@@ -28,13 +30,121 @@ from powerchroma import (
     display_vertex,
     exact_chromatic_index,
     generate_catalog,
+    load_table_text,
     make_edge,
     max_degree,
+    parse_coloring_csv,
     predict_class,
 )
-from powerchroma.coloring import walk_alternating
 from powerchroma.exchange import _sacrifice_candidates
-from powerchroma.fixtures import nonabelian21_group
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+# ---------------------------------------------------------------------------
+# reference data: three coloring tables for the order-15 cyclic group's power
+# graph (a hand-assembled total 14-coloring, the rotation base table of K_15
+# with one near-perfect matching uncolored, and the base table after one
+# documented exchange step) and a 21-element nonabelian group table
+
+
+def _read(name: str) -> str:
+    return (DATA / name).read_text(encoding="utf-8")
+
+
+def c15_reference_csv() -> str:
+    return _read("c15_reference_14_coloring.csv")
+
+
+def k15_base_csv() -> str:
+    return _read("k15_rotation_base.csv")
+
+
+def k15_exchanged_csv() -> str:
+    return _read("k15_rotation_exchanged.csv")
+
+
+def c15_reference_coloring() -> tuple[int, dict[Edge, int]]:
+    """The total 14-coloring of the order-15 cyclic power graph."""
+    return parse_coloring_csv(c15_reference_csv(), 15)
+
+
+def k15_base_table() -> tuple[int, dict[Edge, int]]:
+    """The rotation base table of K_15: 98 colored edges, one matching left out."""
+    return parse_coloring_csv(k15_base_csv(), 15)
+
+
+def k15_exchanged_table() -> tuple[int, dict[Edge, int]]:
+    """The base table after removing one edge and adding a traded one."""
+    return parse_coloring_csv(k15_exchanged_csv(), 15)
+
+
+def nonabelian21_text() -> str:
+    return _read("nonabelian_order21.table")
+
+
+def nonabelian21_group() -> Group:
+    return load_table_text(nonabelian21_text(), "table:nonabelian_order21")
+
+
+# ---------------------------------------------------------------------------
+# two-color walks as first written, through a neighbor lookup
+
+
+def neighbor_at(coloring: EdgeColoring, v: int, color: int) -> int | None:
+    """The neighbor joined to v by an edge of this color, if any, read off ``at``."""
+    p = coloring.palette_size
+    if not 0 <= color < p:
+        return None
+    w = coloring.at[v * p + color]
+    return None if w < 0 else w
+
+
+def walk_alternating(neighbor_at, v: int, first: int, second: int) -> tuple[list[int], bool]:
+    """Follow the alternating trail from v starting along `first`.
+
+    Returns (vertices, closed); closed means the trail returned to v, i.e. the
+    two-color component through v is a cycle. Each vertex has at most one edge
+    per color, so the walk is forced.
+    """
+    seq = [v]
+    cur, col = v, first
+    while True:
+        nxt = neighbor_at(cur, col)
+        if nxt is None:
+            return seq, False
+        if nxt == v:
+            return seq, True
+        seq.append(nxt)
+        cur = nxt
+        col = second if col == first else first
+
+
+def swap_path_colors(coloring: EdgeColoring, vertices, a: int, b: int) -> None:
+    """In-place a <-> b swap along consecutive colored edges of a path.
+
+    Low level: callers must pass a maximal alternating path (or a full
+    cycle with the first vertex repeated); properness is preserved then.
+    """
+    if len(vertices) < 2:
+        return
+    edges = [make_edge(x, y) for x, y in zip(vertices, vertices[1:])]
+    olds = []
+    for e in edges:
+        color = coloring.edge_color[e]
+        if color not in (a, b):
+            raise ColoringError(f"edge {tuple(e)} carries color {color}, not {a} or {b}")
+        olds.append(color)
+    p = coloring.palette_size
+    at = coloring.at
+    for (u, v), c in zip(edges, olds):
+        at[u * p + c] = -1
+        at[v * p + c] = -1
+    for e, c in zip(edges, olds):
+        new = b if c == a else a
+        coloring.edge_color[e] = new
+        at[e.u * p + new] = e.v
+        at[e.v * p + new] = e.u
 
 
 def brute_is_power(group: Group, a: int, b: int) -> bool:
@@ -196,9 +306,11 @@ def reference_validate_table(table) -> None:
 def reference_attempt_exchange(state, remove, add) -> bool:
     """One exchange attempt as first written: remove, then walk every color pair both ways.
 
-    Uses only the state's public methods; the library plans the same attempt
-    on its flat table and skips the mirror walk from u.
+    Walks and swaps with the helpers above; the library plans the same
+    attempt on its flat table, skips the mirror walk from u and inverts the
+    path with ``invert_path``.
     """
+    lookup = functools.partial(neighbor_at, state)
     state.stats["attempts"] += 1
     x = state.remove_edge(remove)
     u, v = add
@@ -212,16 +324,16 @@ def reference_attempt_exchange(state, remove, add) -> bool:
         return True
     for alpha in sorted(missing_u):
         for beta in sorted(missing_v):
-            verts, closed = walk_alternating(state.neighbor_at, v, alpha, beta)
+            verts, closed = walk_alternating(lookup, v, alpha, beta)
             if not closed and verts[-1] != u:
-                state.swap_path_colors(verts, alpha, beta)
+                swap_path_colors(state, verts, alpha, beta)
                 state.stats["inversions"] += 1
                 state.add_edge(add, alpha)
                 state.stats["exchanges"] += 1
                 return True
-            verts, closed = walk_alternating(state.neighbor_at, u, beta, alpha)
+            verts, closed = walk_alternating(lookup, u, beta, alpha)
             if not closed and verts[-1] != v:
-                state.swap_path_colors(verts, beta, alpha)
+                swap_path_colors(state, verts, beta, alpha)
                 state.stats["inversions"] += 1
                 state.add_edge(add, beta)
                 state.stats["exchanges"] += 1
@@ -577,14 +689,13 @@ def kempe_flip(coloring: EdgeColoring, v: int, a: int, b: int) -> EdgeColoring:
     """A copy of ``coloring`` with a and b swapped along the a/b path from v.
 
     v must miss a or b, so it ends its two-color component: the drain's step,
-    ``walk_alternating`` then ``swap_path_colors``, on a maximal path.
+    ``invert_path`` from v along the color it has.
     """
-    assert coloring.neighbor_at(v, a) is None or coloring.neighbor_at(v, b) is None
-    first, second = (a, b) if coloring.neighbor_at(v, a) is not None else (b, a)
-    vertices, closed = walk_alternating(coloring.neighbor_at, v, first, second)
-    assert not closed
     out = EdgeColoring(coloring.graph, coloring.palette_size, coloring.edge_color.items())
-    out.swap_path_colors(vertices, a, b)
+    if neighbor_at(coloring, v, a) is None:
+        out.invert_path(v, b, a)
+    else:
+        out.invert_path(v, a, b)
     return out
 
 

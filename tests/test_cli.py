@@ -10,6 +10,7 @@ import pytest
 
 import powerchroma
 from powerchroma.cli import main
+from conftest import nonabelian21_text
 
 
 def run(capsys, *argv):
@@ -62,8 +63,6 @@ class TestAnalyzeClassify:
         assert err == f"error: expected an integer parameter in {spec!r}\n"
 
     def test_classify_table_spec(self, capsys, tmp_path):
-        from powerchroma.fixtures import nonabelian21_text
-
         path = tmp_path / "g21.table"
         path.write_text(nonabelian21_text())
         code, out, _ = run(capsys, "classify", f"table:{path}")
@@ -241,8 +240,6 @@ class TestSurvey:
         assert payload["summary"]["overfull_groups"] == ["cyclic:3", "cyclic:5", "cyclic:7", "cyclic:9", "cyclic:11"]
 
     def test_survey_with_extra_table(self, capsys, tmp_path):
-        from powerchroma.fixtures import nonabelian21_text
-
         path = tmp_path / "g21.table"
         path.write_text(nonabelian21_text())
         code, out, _ = run(

@@ -25,14 +25,17 @@ from powerchroma import (
     verify_assignment,
     verify_proper,
 )
-from powerchroma.coloring import _rotation_pairs, _round_robin_pairs, walk_alternating
-from powerchroma.fixtures import c15_reference_coloring
+from powerchroma.coloring import _rotation_pairs, _round_robin_pairs
 from conftest import (
+    c15_reference_coloring,
     kempe_flip,
+    neighbor_at,
     random_graph,
     reference_assign,
     reference_rotation_classes,
     reference_round_robin,
+    swap_path_colors,
+    walk_alternating,
 )
 
 
@@ -100,18 +103,16 @@ class TestVerify:
         coloring = EdgeColoring(complete_graph(4), 3)
         coloring.assign(0, 1, 0)
         coloring.assign(1, 2, 1)
-        assert coloring.neighbor_at(1, 0) == 0 and coloring.neighbor_at(1, 1) == 2
-        assert coloring.neighbor_at(1, 2) is None
-        # colors outside the palette are absent, never read from another row
-        assert coloring.neighbor_at(0, 3) is None and coloring.neighbor_at(2, -2) is None
+        assert neighbor_at(coloring, 1, 0) == 0 and neighbor_at(coloring, 1, 1) == 2
+        assert neighbor_at(coloring, 1, 2) is None
         assert coloring.missing_at(1) == {2}
         before = EdgeColoring(coloring.graph, coloring.palette_size, coloring.edge_color.items())
-        coloring.swap_path_colors([0, 1, 2], 0, 1)
+        assert coloring.invert_path(0, 0, 1) == [0, 1, 2]
         assert coloring.edge_color == {make_edge(0, 1): 1, make_edge(1, 2): 0}
-        assert coloring.neighbor_at(0, 1) == 1 and coloring.missing_at(0) == {0, 2}
-        assert before.color_of(0, 1) == 0 and before.neighbor_at(0, 0) == 1
+        assert neighbor_at(coloring, 0, 1) == 1 and coloring.missing_at(0) == {0, 2}
+        assert before.color_of(0, 1) == 0 and neighbor_at(before, 0, 0) == 1
         assert coloring.unassign(2, 1) == 0
-        assert coloring.missing_at(2) == {0, 1, 2} and coloring.neighbor_at(1, 0) is None
+        assert coloring.missing_at(2) == {0, 1, 2} and neighbor_at(coloring, 1, 0) is None
         with pytest.raises(ColoringError):
             coloring.unassign(1, 2)
 
@@ -206,7 +207,7 @@ class TestRoundRobin:
         assert report.valid
         assert report.distinct_colors == n - 1
         for color in range(n - 1):
-            covered = [v for v in range(n) if coloring.neighbor_at(v, color) is not None]
+            covered = [v for v in range(n) if neighbor_at(coloring, v, color) is not None]
             assert len(covered) == n
 
     def test_odd_rejected(self):
@@ -263,43 +264,60 @@ class TestBaseRotationColoring:
         assert coloring.missing_at(0) == set()
 
 
+def copy_of(coloring: EdgeColoring) -> EdgeColoring:
+    return EdgeColoring(coloring.graph, coloring.palette_size, coloring.edge_color.items())
+
+
 class TestKempe:
     def test_worked_path_from_base(self):
         base, _ = base_rotation_coloring(15)
         # display colors 13 and 10
-        assert walk_alternating(base.neighbor_at, 10, 12, 9) == ([10, 1, 4, 7, 13], False)
+        assert copy_of(base).invert_path(10, 12, 9) == [10, 1, 4, 7, 13]
 
     def test_worked_path_from_reference_coloring(self):
         palette, mapping = c15_reference_coloring()
         graph = build_power_graph(construct_group("cyclic:15"))
         coloring = EdgeColoring(graph, palette, sorted(mapping.items()))
         # display colors 2 and 7
-        assert walk_alternating(coloring.neighbor_at, 5, 1, 6) == ([5, 14, 0, 4, 10], False)
+        assert copy_of(coloring).invert_path(5, 1, 6) == [5, 14, 0, 4, 10]
 
     def test_vertex_without_either_color(self):
         coloring = EdgeColoring(complete_graph(3), 3)
         coloring.assign(0, 1, 0)
-        assert walk_alternating(coloring.neighbor_at, 2, 1, 2) == ([2], False)
+        assert copy_of(coloring).invert_path(2, 1, 2) == [2]
         assert kempe_flip(coloring, 2, 1, 2).edge_color == coloring.edge_color
 
-    def test_cycle_detected(self):
+    def test_refuses_a_vertex_with_the_second_color(self):
+        # every vertex of the square has both colors: its component is a cycle
         square = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        coloring = EdgeColoring(square, 2)
-        coloring.assign(0, 1, 0)
-        coloring.assign(1, 2, 1)
-        coloring.assign(2, 3, 0)
-        coloring.assign(0, 3, 1)
-        vertices, closed = walk_alternating(coloring.neighbor_at, 0, 0, 1)
-        assert closed
-        assert vertices == [0, 1, 2, 3]
+        coloring = EdgeColoring(square, 2, [((0, 1), 0), ((1, 2), 1), ((2, 3), 0), ((0, 3), 1)])
+        before = (dict(coloring.edge_color), list(coloring.at))
+        with pytest.raises(ColoringError, match="vertex 0 is out of range or has color 1"):
+            coloring.invert_path(0, 0, 1)
+        assert (coloring.edge_color, coloring.at) == before
+
+    @pytest.mark.parametrize("first,second", [(-1, 1), (1, -1), (3, 1), (1, 3)])
+    def test_refuses_colors_outside_the_palette(self, first, second):
+        # a negative color would index into the row of vertex v - 1
+        coloring = EdgeColoring(complete_graph(3), 3, [((0, 1), 0), ((1, 2), 1)])
+        before = (dict(coloring.edge_color), list(coloring.at))
+        with pytest.raises(ColoringError, match="outside palette 0..2"):
+            coloring.invert_path(2, first, second)
+        assert (coloring.edge_color, coloring.at) == before
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_refuses_a_vertex_out_of_range(self, v):
+        coloring = EdgeColoring(complete_graph(3), 3, [((0, 1), 0)])
+        with pytest.raises(ColoringError, match=f"vertex {v} is out of range"):
+            coloring.invert_path(v, 0, 1)
 
     def test_invert_flips_endpoint_colors(self):
         base, _ = base_rotation_coloring(15)
         flipped = kempe_flip(base, 10, 12, 9)
         assert verify_proper(flipped.graph, flipped).conflicts == ()
-        assert flipped.neighbor_at(10, 12) is None  # display color 13 now absent at 10
-        assert flipped.neighbor_at(10, 9) is not None
-        assert flipped.neighbor_at(13, 12) is not None
+        assert neighbor_at(flipped, 10, 12) is None  # display color 13 now absent at 10
+        assert neighbor_at(flipped, 10, 9) is not None
+        assert neighbor_at(flipped, 13, 12) is not None
 
     def test_invert_is_involution(self):
         base, _ = base_rotation_coloring(15)
@@ -311,7 +329,7 @@ class TestKempe:
         graph = Graph(2, [(0, 1)])
         coloring = EdgeColoring(graph, 2)
         coloring.assign(0, 1, 0)
-        assert walk_alternating(coloring.neighbor_at, 0, 0, 1) == ([0, 1], False)
+        assert copy_of(coloring).invert_path(0, 0, 1) == [0, 1]
         flipped = kempe_flip(coloring, 0, 0, 1)
         assert flipped.color_of(0, 1) == 1
 
@@ -326,11 +344,31 @@ class TestKempe:
                 continue
             v = rng.randrange(n)
             a, b = rng.sample(range(coloring.palette_size), 2)
-            if coloring.neighbor_at(v, a) is not None and coloring.neighbor_at(v, b) is not None:
+            if neighbor_at(coloring, v, a) is not None and neighbor_at(coloring, v, b) is not None:
                 continue  # need the endpoint condition
             flipped = kempe_flip(coloring, v, a, b)
             assert verify_proper(graph, flipped).conflicts == ()
             assert kempe_flip(flipped, v, a, b).edge_color == coloring.edge_color
+
+    def test_invert_matches_the_reference_walk_and_swap(self, rng):
+        done = 0
+        while done < 200:
+            graph = random_graph(rng, rng.randrange(2, 13), 0.5)
+            coloring = misra_gries_coloring(graph)
+            v = rng.randrange(graph.n)
+            missed = sorted(coloring.missing_at(v))
+            if not missed:
+                continue
+            first = rng.randrange(coloring.palette_size)
+            second = rng.choice(missed)
+            ref = copy_of(coloring)
+            verts, closed = walk_alternating(lambda x, c: neighbor_at(ref, x, c), v, first, second)
+            assert not closed
+            swap_path_colors(ref, verts, first, second)
+            assert coloring.invert_path(v, first, second) == verts
+            assert (coloring.edge_color, coloring.at) == (ref.edge_color, ref.at)
+            assert list(coloring.edge_color) == list(ref.edge_color)  # the key order too
+            done += 1
 
 
 class TestRestrict:

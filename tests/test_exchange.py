@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerchroma import (
     Edge,
@@ -11,6 +13,7 @@ from powerchroma import (
     ExchangeFailure,
     ExchangeState,
     Graph,
+    GroupColoring,
     build_power_graph,
     color_graph,
     color_power_graph,
@@ -18,6 +21,7 @@ from powerchroma import (
     construct_group,
     deficiency_report,
     exchange_coloring,
+    is_overfull,
     make_edge,
     max_degree,
     verify_assignment,
@@ -34,11 +38,10 @@ from powerchroma.exchange import (
     _relevant,
     _try_add,
 )
-from powerchroma.fixtures import k15_exchanged_table
 from powerchroma.overfull import predict_class
 from powerchroma.toolkit import generate_catalog
 
-from conftest import reference_attempt_exchange, reference_drain
+from conftest import k15_exchanged_table, reference_attempt_exchange, reference_drain
 
 
 def check_state(state: ExchangeState) -> None:
@@ -326,8 +329,10 @@ class TestColorPowerGraph:
     def test_strategy_validation(self):
         with pytest.raises(ValueError, match="round robin needs an even n >= 2, got 5"):
             _round_robin_pairs(build_power_graph(construct_group("cyclic:5")))
-        with pytest.raises(ValueError, match="round robin needs an even n >= 2, got 0"):
-            color_graph(Graph(0, []))
+        # the empty graph is trivial, as the one-vertex graph is
+        result = color_graph(Graph(0, []))
+        assert (result.strategy, result.class_label, result.colors_used) == ("trivial", "class1", 0)
+        assert verify_proper(result.graph, result.coloring).valid
 
     def test_auto_escalates_to_exact_search(self, monkeypatch):
         import powerchroma.exchange as exchange_module
@@ -342,3 +347,54 @@ class TestColorPowerGraph:
         assert result.colors_used == 8
         assert "exchange_failure" in result.stats
         assert verify_proper(result.graph, result.coloring).valid
+
+
+@st.composite
+def simple_graphs(draw, max_n=10):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def check_any_graph(graph: Graph) -> GroupColoring:
+    """``color_graph`` gives a verified coloring with at most max_degree + 1 colors, labelled by proof."""
+    result = color_graph(graph)
+    delta = max_degree(graph)
+    assert verify_proper(graph, result.coloring).valid
+    assert result.colors_used <= delta + 1
+    if result.colors_used == delta:
+        assert result.class_label == "class1"
+    else:
+        assert result.class_label == ("class2" if is_overfull(graph) else "indeterminate")
+    return result
+
+
+class TestColorAnyGraph:
+    """Graphs with no full-degree vertex, which no power graph is, go to exact search."""
+
+    @given(simple_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_every_small_graph(self, graph):
+        check_any_graph(graph)
+
+    def test_two_disjoint_edges(self):
+        result = check_any_graph(Graph(5, [(0, 1), (2, 3)]))
+        assert (result.strategy, result.class_label, result.colors_used) == ("exact", "class1", 1)
+
+    def test_five_cycle_gets_three_colors(self):
+        # overfull: 5 edges, at most 2 in a color class, so 3 colors and not 5
+        result = check_any_graph(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+        assert (result.strategy, result.class_label, result.colors_used) == ("exact", "class2", 3)
+
+    def test_petersen_graph_is_indeterminate(self):
+        # not overfull (15 edges, at most 5 in a color class), yet no 3-coloring exists
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        inner = [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+        result = check_any_graph(Graph(10, outer + spokes + inner))
+        assert (result.strategy, result.class_label, result.colors_used) == ("exact", "indeterminate", 4)
+
+    def test_empty_graph(self):
+        result = check_any_graph(Graph(0, []))
+        assert (result.strategy, result.colors_used) == ("trivial", 0)

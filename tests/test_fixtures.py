@@ -1,4 +1,4 @@
-"""The bundled reference tables and the sample order-21 group."""
+"""The reference tables under ``tests/data`` and the sample order-21 group."""
 
 from powerchroma import (
     Edge,
@@ -16,7 +16,7 @@ from powerchroma import (
     verify_proper,
 )
 from powerchroma.exchange import _attempt_exchange
-from powerchroma.fixtures import (
+from conftest import (
     c15_reference_coloring,
     c15_reference_csv,
     k15_base_csv,

@@ -362,19 +362,18 @@ class TestArithmetic:
         [(15, ((3, 1), (5, 1))), (27, ((3, 3),)), (1, ()), (2, ((2, 1),)), (360, ((2, 3), (3, 2), (5, 1)))],
     )
     def test_factorize(self, n, expected):
-        assert factorize(n).factors == expected
+        assert factorize(n) == expected
 
     def test_prime_power_predicate(self):
-        assert factorize(27).is_prime_power
-        assert factorize(2).is_prime_power
-        assert not factorize(1).is_prime_power
-        assert not factorize(15).is_prime_power
+        # a prime power is one (prime, exponent) pair; 1 is the empty product
+        assert [len(factorize(n)) == 1 for n in (27, 2, 1, 15)] == [True, True, False, False]
 
     @given(st.integers(min_value=1, max_value=100_000))
     @settings(max_examples=200, deadline=None)
     def test_factorize_reconstructs(self, n):
         f = factorize(n)
-        assert f.value == n
+        assert type(f) is tuple
+        assert math.prod(p**e for p, e in f) == n
         primes = [p for p, _ in f]
         assert primes == sorted(set(primes))
 

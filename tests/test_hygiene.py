@@ -64,11 +64,7 @@ def test_no_unused_imports(path):
     assert sorted(imported(tree) - used(tree)) == []
 
 
-CORE = {
-    p.stem: exported(parse(p))
-    for p in MODULES
-    if p.stem != "fixtures" and exported(parse(p)) is not None
-}
+CORE = {p.stem: exported(parse(p)) for p in MODULES if exported(parse(p)) is not None}
 
 
 def test_core_modules_found():
@@ -89,15 +85,6 @@ def test_all_names_defined_and_reexported(module):
 ROOT = PACKAGE.parent.parent
 BENCH = ROOT / "perfbench"
 
-# Functions no entry point reaches, kept on purpose. A test calling a function
-# does not make a user reach it, so tests are not entry points.
-UNREACHED = {
-    "fixtures.c15_reference_coloring": "shipped reference data",
-    "fixtures.k15_base_table": "shipped reference data",
-    "fixtures.k15_exchanged_table": "shipped reference data",
-    "fixtures.nonabelian21_group": "shipped reference data",
-}
-
 
 def overrides(module: str, owner: str, name: str) -> bool:
     """True when the method replaces one a base class defines, so its caller lives there."""
@@ -105,14 +92,14 @@ def overrides(module: str, owner: str, name: str) -> bool:
     return any(name in vars(base) for base in cls.__mro__[1:])
 
 
-def read_names(node: ast.AST) -> set[str]:
-    """Names read and attributes taken by the code that runs when ``node`` runs.
+def read_names(node: ast.AST) -> tuple[set[str], set[str]]:
+    """Names read, and attributes taken, by the code that runs when ``node`` runs.
 
     A nested def or class runs its decorators, defaults and bases there, and
     its body only once something names it. Import lines bind aliases, not
     ``Name`` nodes, and ``__all__`` lists strings, so neither counts as a use.
     """
-    names = set()
+    names, attributes = set(), set()
     stack = list(ast.iter_child_nodes(node))
     while stack:
         child = stack.pop()
@@ -126,19 +113,23 @@ def read_names(node: ast.AST) -> set[str]:
         if isinstance(child, ast.Name):
             names.add(child.id)
         elif isinstance(child, ast.Attribute):
-            names.add(child.attr)
+            attributes.add(child.attr)
         stack.extend(ast.iter_child_nodes(child))
-    return names
+    return names, attributes
 
 
 def definitions() -> dict[str, list]:
-    """name -> [(module, qualified name, node)] for every def and class in the package."""
+    """name -> [(module, qualified name, node, method)] for every def and class in the package.
+
+    ``method`` marks a def in a class body.
+    """
     out = {}
 
     def visit(module, node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                out.setdefault(child.name, []).append((module, f"{prefix}{child.name}", child))
+                method = isinstance(node, ast.ClassDef) and not isinstance(child, ast.ClassDef)
+                out.setdefault(child.name, []).append((module, f"{prefix}{child.name}", child, method))
                 visit(module, child, f"{prefix}{child.name}.")
             else:
                 visit(module, child, prefix)
@@ -148,58 +139,61 @@ def definitions() -> dict[str, list]:
     return out
 
 
-def entry_names() -> set[str]:
+def entry_names() -> tuple[set[str], set[str]]:
     """What the program's users name: the CLI entry point, perfbench's names and traced functions.
 
-    The package's module-level code runs on import, so what it names counts too.
+    The package's module-level code runs on import, so what it names counts
+    too. Tests are not entry points: a test calling a function does not make a
+    user reach it.
     """
     names = {"main"}  # powerchroma = "powerchroma.cli:main" and python -m powerchroma
-    for path in sorted(PACKAGE.glob("*.py")):
-        names |= read_names(parse(path))
-    for path in sorted(BENCH.rglob("*.py")):
+    attributes = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.rglob("*.py")):
         tree = parse(path)
-        names |= read_names(tree)
+        found, taken = read_names(tree)
+        names |= found
+        attributes |= taken
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
             ):
                 names |= {function for _, function in ast.literal_eval(node.value)}
-    return names
+    return names, attributes
 
 
 def reached() -> set[str]:
     """Qualified ``module.name`` of every def or class the entry names reach.
 
     Names resolve by spelling alone, to every def or class so called, as a
-    call through an attribute does. A reached class reaches the methods its
-    instances run unnamed: the dunders and the overrides of a base class.
-    The bodies of the ``UNREACHED`` defs run too, so their helpers need no
-    entry of their own.
+    call through an attribute does. A def in a class body is reached only
+    through an attribute of its name: a bare name that matches it is some
+    other binding. A reached class reaches the methods its instances run
+    unnamed: the dunders and the overrides of a base class.
     """
     defs = definitions()
-    names = set()
+    names, attributes = set(), set()
     work = []
 
     def read(found):
-        work.extend(d for name in found - names for d in defs.get(name, ()))
-        names.update(found)
+        found_names, found_attributes = found
+        for name in found_names - names:
+            work.extend(d for d in defs.get(name, ()) if not d[3])
+        for name in found_attributes - attributes:
+            work.extend(defs.get(name, ()))
+        names.update(found_names)
+        attributes.update(found_attributes)
 
     read(entry_names())
-    # an exempt def is kept on purpose, so what it calls is reached through it
-    for found in defs.values():
-        for module, qualified, node in found:
-            if f"{module}.{qualified}" in UNREACHED:
-                read(read_names(node))
     out = set()
     while work:
-        module, qualified, node = work.pop()
+        module, qualified, node, _ = work.pop()
         if f"{module}.{qualified}" in out:
             continue
         out.add(f"{module}.{qualified}")
         read(read_names(node))
         if isinstance(node, ast.ClassDef):
             work.extend(
-                (module, f"{qualified}.{child.name}", child)
+                (module, f"{qualified}.{child.name}", child, True)
                 for child in node.body
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and (
@@ -215,9 +209,7 @@ def test_every_function_is_used():
     unused = sorted(
         f"{module}.{qualified}"
         for found in definitions().values()
-        for module, qualified, node in found
+        for module, qualified, node, _ in found
         if not isinstance(node, ast.ClassDef) and f"{module}.{qualified}" not in reachable
     )
-    # an exempt name that something now calls is a stale entry
-    assert sorted(set(UNREACHED) - set(unused)) == []
-    assert [name for name in unused if name not in UNREACHED] == []
+    assert unused == []

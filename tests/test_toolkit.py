@@ -3,10 +3,9 @@
 import pytest
 
 from powerchroma import Graph, build_power_graph, construct_group, generate_catalog, run_survey
-from powerchroma.fixtures import nonabelian21_text
 from powerchroma.toolkit import _check_report, survey_group
 
-from conftest import reference_report_dict
+from conftest import nonabelian21_text, reference_report_dict
 
 
 class TestCatalog:
