@@ -69,7 +69,6 @@ from .overfull import (
     predict_class,
 )
 from .powergraph import (
-    Edge,
     Graph,
     MAX_JSON_ORDER,
     build_power_graph,

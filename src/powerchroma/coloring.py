@@ -1,7 +1,8 @@
 """Edge colorings: verification, constructions, Kempe path inversion, and table/JSON IO.
 
-Colors are 0-based internally and 1-based in every export, matching the usual
-table presentation. Every coloring is built by one checked fill: the
+An edge is a plain ``(u, v)`` tuple with u < v, the key of every mapping
+here. Colors are 0-based internally and 1-based in every export, matching the
+usual table presentation. Every coloring is built by one checked fill: the
 ``EdgeColoring`` constructor colors its ``pairs`` in order, and ``assign`` is
 that loop over one pair. The two base constructions are closed-form rules on
 an edge (u, v) with u < v:
@@ -14,6 +15,10 @@ an edge (u, v) with u < v:
   S_p = {(p-q, p+q) mod n : q = 1..(n-1)/2} on labels 1..n; class p misses
   exactly the vertex labeled p. ``base_rotation_coloring(n)`` colors K_n with
   classes S_1..S_{n-1} on n-1 colors, leaving the matching S_n uncolored.
+
+``verify_assignment`` reads only the mapping and the graph's bitmasks. A
+valid witness passes one unsorted pass over the mapping; anything that pass
+cannot accept gets the full sorted pass, which reports every fault.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .groups import _ASCII_SPACE, _decimal
-from .powergraph import Edge, Graph, _json_array, complete_graph, make_edge
+from .powergraph import Graph, _json_array, complete_graph, make_edge
 
 __all__ = [
     "ColorConflict",
@@ -69,7 +74,7 @@ class EdgeColoring:
             raise ColoringError(f"palette size must be >= 0, got {palette_size}")
         self.graph = graph
         self.palette_size = palette_size
-        self.edge_color: dict[Edge, int] = {}
+        self.edge_color: dict[tuple[int, int], int] = {}
         self.at: list[int] = [-1] * (graph.n * palette_size)
         self._fill(pairs)
 
@@ -83,22 +88,22 @@ class EdgeColoring:
         p = self.palette_size
         edge_color, at = self.edge_color, self.at
         for k, color in pairs:
-            # canonical Edge keys (graph.edges(), the parsers) skip make_edge
-            e = k if type(k) is Edge and k[0] < k[1] else make_edge(*k)
+            # canonical keys (graph.edges(), the parsers) skip make_edge
+            e = k if type(k) is tuple and len(k) == 2 and k[0] < k[1] else make_edge(*k)
             u, v = e
             # the range test keeps a negative index from wrapping into another row
             if u < 0 or v >= n or not bits[u] >> v & 1:
-                raise ColoringError(f"edge {tuple(e)} is not in the graph")
+                raise ColoringError(f"edge {e} is not in the graph")
             if not 0 <= color < p:
                 raise ColoringError(f"color {color} outside palette 0..{p - 1}")
             if e in edge_color:
-                raise ColoringError(f"edge {tuple(e)} already colored")
+                raise ColoringError(f"edge {e} already colored")
             iu, iv = u * p + color, v * p + color
             if at[iu] >= 0 or at[iv] >= 0:
                 x = u if at[iu] >= 0 else v
                 raise ColoringError(
                     f"color {color} already present at vertex {x} "
-                    f"on edge {tuple(make_edge(x, at[x * p + color]))}"
+                    f"on edge {make_edge(x, at[x * p + color])}"
                 )
             edge_color[e] = color
             at[iu] = v
@@ -117,11 +122,11 @@ class EdgeColoring:
     def unassign(self, a: int, b: int) -> int:
         e = make_edge(a, b)
         if e not in self.edge_color:
-            raise ColoringError(f"edge {tuple(e)} is not colored")
+            raise ColoringError(f"edge {e} is not colored")
         color = self.edge_color.pop(e)
         p = self.palette_size
-        self.at[e.u * p + color] = -1
-        self.at[e.v * p + color] = -1
+        self.at[e[0] * p + color] = -1
+        self.at[e[1] * p + color] = -1
         return color
 
     def items(self):
@@ -151,7 +156,7 @@ class EdgeColoring:
         path = [v]
         x, col, new = v, first, second
         while (y := at[x * p + col]) >= 0:
-            edge_color[make_edge(x, y)] = new
+            edge_color[(x, y) if x < y else (y, x)] = new
             path.append(y)
             x, col, new = y, new, col
         # every path vertex trades its two partners; an end's missing one stays -1
@@ -171,8 +176,8 @@ class EdgeColoring:
 class ColorConflict:
     vertex: int
     color: int
-    first: Edge
-    second: Edge
+    first: tuple[int, int]
+    second: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -182,9 +187,9 @@ class VerificationReport:
     colored_count: int
     distinct_colors: int
     conflicts: tuple[ColorConflict, ...]
-    uncolored: tuple[Edge, ...]
-    foreign_edges: tuple[Edge, ...]  # assigned edges absent from the graph
-    out_of_palette: tuple[tuple[Edge, int], ...]
+    uncolored: tuple[tuple[int, int], ...]
+    foreign_edges: tuple[tuple[int, int], ...]  # assigned edges absent from the graph
+    out_of_palette: tuple[tuple[tuple[int, int], int], ...]
 
     @property
     def valid(self) -> bool:
@@ -200,38 +205,86 @@ class VerificationReport:
         for c in self.conflicts:
             parts.append(
                 f"conflict at vertex {c.vertex}: color {c.color + 1} on edges "
-                f"{tuple(c.first)} and {tuple(c.second)}"
+                f"{c.first} and {c.second}"
             )
         if self.uncolored:
-            parts.append(f"uncolored edges: {[tuple(e) for e in self.uncolored]}")
+            parts.append(f"uncolored edges: {list(self.uncolored)}")
         if self.foreign_edges:
-            parts.append(f"edges not in graph: {[tuple(e) for e in self.foreign_edges]}")
+            parts.append(f"edges not in graph: {list(self.foreign_edges)}")
         if self.out_of_palette:
             parts.append(
-                "out-of-palette: "
-                + ", ".join(f"{tuple(e)} -> {c + 1}" for e, c in self.out_of_palette)
+                "out-of-palette: " + ", ".join(f"{e} -> {c + 1}" for e, c in self.out_of_palette)
             )
         return "; ".join(parts)
 
 
+# Largest slot table, in bytes, that the one-pass check allocates (n * palette_size):
+# n = 4096 with a palette of n. A larger n, or a palette read from a file, takes the
+# sorted pass, which allocates by the mapping alone.
+_MAX_SLOTS = 1 << 24
+
+
+def _is_total_and_proper(graph: Graph, mapping: dict, palette_size: int) -> bool:
+    """True when the mapping colors every edge of ``graph`` properly, checked in one pass.
+
+    Each key must be a canonical pair of ints (u < v) that is an edge, each
+    color an int in the palette, and no (vertex, color) slot may be taken
+    twice. Distinct keys, each an edge, as many as the graph has edges, are
+    exactly its edge set. It reads only the mapping and ``graph.bits``.
+    False means only "not shown here": a bool, a reversed key, or a palette
+    above n or past ``_MAX_SLOTS`` is left to the sorted pass.
+    """
+    n, bits = graph.n, graph.bits
+    p = palette_size
+    if len(mapping) != graph.edge_count or not 0 <= p <= n or n * p > _MAX_SLOTS:
+        return False
+    taken = bytearray(n * p)
+    for k, color in mapping.items():
+        if type(k) is not tuple or len(k) != 2:
+            return False
+        u, v = k
+        if type(u) is not int or type(v) is not int or type(color) is not int:
+            return False
+        if not (0 <= u < v < n and bits[u] >> v & 1 and 0 <= color < p):
+            return False
+        iu, iv = u * p + color, v * p + color
+        if taken[iu] or taken[iv]:
+            return False
+        taken[iu] = taken[iv] = 1
+    return True
+
+
 def verify_assignment(graph: Graph, mapping: dict, palette_size: int) -> VerificationReport:
-    """Independent properness check of a raw edge -> integer color mapping."""
+    """Independent properness check of a raw edge -> integer color mapping.
+
+    A valid mapping is accepted in one pass by ``_is_total_and_proper``; any
+    other gets ``_sorted_report``, which lists each fault.
+    """
+    if not _is_total_and_proper(graph, mapping, palette_size):
+        return _sorted_report(graph, mapping, palette_size)
+    colors = len(set(mapping.values()))
+    return VerificationReport(graph.n, palette_size, len(mapping), colors, (), (), (), ())
+
+
+def _sorted_report(graph: Graph, mapping: dict, palette_size: int) -> VerificationReport:
+    """Every fault of the mapping, found in one pass over its entries sorted by edge."""
     n, bits = graph.n, graph.bits
     twice: list[ColorConflict] = []
     conflicts: list[ColorConflict] = []
-    foreign: list[Edge] = []
-    out_of_palette: list[tuple[Edge, int]] = []
-    first_at: dict[int, Edge] = {}  # color * n + x: unique, as 0 <= x < n
+    foreign: list[tuple[int, int]] = []
+    out_of_palette: list[tuple[tuple[int, int], int]] = []
+    first_at: dict[int, tuple[int, int]] = {}  # color * n + x: unique, as 0 <= x < n
     colors = set()
     prev = None
-    # canonical Edge keys (what the parsers and EdgeColoring hold) skip make_edge
+    # canonical keys (what the parsers and EdgeColoring hold) skip make_edge
     entries = [
-        (k if type(k) is Edge and k[0] < k[1] else make_edge(*k), c) for k, c in mapping.items()
+        (k if type(k) is tuple and len(k) == 2 and k[0] < k[1] else make_edge(*k), c)
+        for k, c in mapping.items()
     ]
     # stable on the edge alone: of (u, v) and (v, u), the first listed keeps its color
     for e, color in sorted(entries, key=itemgetter(0)):
         if e == prev:
-            twice.append(ColorConflict(e.u, color, e, e))
+            twice.append(ColorConflict(e[0], color, e, e))
             continue
         prev = e
         u, v = e
@@ -304,7 +357,7 @@ def round_robin_coloring(n: int) -> EdgeColoring:
     return EdgeColoring(graph, n - 1, _round_robin_pairs(graph))
 
 
-def rotation_classes(n: int) -> list[list[Edge]]:
+def rotation_classes(n: int) -> list[list[tuple[int, int]]]:
     """The n near-perfect matching classes partitioning E(K_n) for odd n >= 3.
 
     Class index p-1 (p = 1..n) holds the edges (p-q, p+q) mod n over labels
@@ -313,13 +366,13 @@ def rotation_classes(n: int) -> list[list[Edge]]:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"rotation classes need an odd n >= 3, got {n}")
-    classes: list[list[Edge]] = [[] for _ in range(n)]
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e, index in _rotation_pairs(complete_graph(n)):
         classes[index].append(e)
     return classes
 
 
-def base_rotation_coloring(n: int) -> tuple[EdgeColoring, tuple[Edge, ...]]:
+def base_rotation_coloring(n: int) -> tuple[EdgeColoring, tuple[tuple[int, int], ...]]:
     """K_n (odd) colored with classes 1..n-1; the last class is returned uncolored."""
     classes = rotation_classes(n)
     pairs = ((e, color) for color, cls in enumerate(classes[:-1]) for e in cls)
@@ -358,7 +411,7 @@ def coloring_to_csv(coloring: EdgeColoring) -> str:
     return buf.getvalue()
 
 
-def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
+def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[tuple[int, int], int]]:
     """Parse a table back into (palette_size, internal edge -> 0-based color)."""
     try:
         rows = list(csv.reader(io.StringIO(text)))
@@ -377,7 +430,7 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
     if colors != list(range(1, len(colors) + 1)):
         raise ColoringError(f"header must count colors 1..k, got {colors}")
     palette = len(colors)
-    mapping: dict[Edge, int] = {}
+    mapping: dict[tuple[int, int], int] = {}
     for row in rows[1:]:
         for idx, cell in enumerate(row):
             cell = cell.strip(_ASCII_SPACE)
@@ -396,7 +449,8 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[Edge, int]]:
                 raise ColoringError(f"edge cell {cell!r} out of range for n={n}")
             if u_label == v_label:
                 raise ColoringError(f"edge cell {cell!r} is a loop")
-            e = make_edge(u_label % n, v_label % n)
+            a, b = u_label % n, v_label % n  # distinct labels in 1..n stay distinct
+            e = (a, b) if a < b else (b, a)
             if e in mapping:
                 raise ColoringError(f"edge {cell!r} listed twice")
             mapping[e] = idx
@@ -413,7 +467,7 @@ def coloring_to_json(coloring: EdgeColoring) -> str:
     return f'{{\n  "edges": {edges},\n  "n": {n},\n  "palette": {palette}\n}}'
 
 
-def parse_coloring_json(text: str) -> tuple[int, int, dict[Edge, int]]:
+def parse_coloring_json(text: str) -> tuple[int, int, dict[tuple[int, int], int]]:
     """Parse the flat JSON form into (n, palette_size, internal edge -> 0-based color).
 
     Malformed input raises a one-line ColoringError; no value is coerced.
@@ -434,7 +488,7 @@ def parse_coloring_json(text: str) -> tuple[int, int, dict[Edge, int]]:
         raise ColoringError(f"coloring JSON 'palette' must be an integer >= 0, got {palette!r}")
     if type(edges) is not list:
         raise ColoringError("coloring JSON 'edges' must be a list")
-    mapping: dict[Edge, int] = {}
+    mapping: dict[tuple[int, int], int] = {}
     for item in edges:
         if type(item) is not dict:
             raise ColoringError(f"edge entry {item!r} must be an object with u, v and color")
@@ -443,8 +497,8 @@ def parse_coloring_json(text: str) -> tuple[int, int, dict[Edge, int]]:
             raise ColoringError(f"edge entry {item!r} must hold integers u, v and color")
         if u == v:
             raise ColoringError(f"edge entry {item!r} is a loop")
-        e = make_edge(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in mapping:
-            raise ColoringError(f"edge {tuple(e)} listed twice")
+            raise ColoringError(f"edge {e} listed twice")
         mapping[e] = color - 1
     return n, palette, mapping

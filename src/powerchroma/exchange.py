@@ -47,7 +47,7 @@ from . import oracle
 from .coloring import EdgeColoring, _round_robin_pairs, _rotation_pairs
 from .groups import Group
 from .overfull import OverfullReport, deficiency_report, is_overfull
-from .powergraph import Edge, Graph, build_power_graph, complete_graph, make_edge, max_degree
+from .powergraph import Graph, _row, build_power_graph, complete_graph, max_degree
 
 __all__ = [
     "ExchangeFailure",
@@ -82,6 +82,12 @@ class ExchangeState(EdgeColoring):
     ``extra`` holds colored edges absent from the target; ``missing`` holds
     target edges not currently colored. Inversions and exchanges keep the
     coloring proper; |extra| - |missing| is invariant.
+
+    The state starts from the rotation base (``_rotation_pairs`` of K_n less
+    the class n-1): color c joins u to (2c + 2 - u) mod n and misses vertex
+    c + 1, and the class left out is the pairs with u + v = n. The base is
+    written straight into the table with no per-edge checks; the finished
+    coloring is refilled through the checked fill, and its callers verify it.
     """
 
     __slots__ = ("target", "extra", "missing", "stats")
@@ -90,12 +96,31 @@ class ExchangeState(EdgeColoring):
         n = target.n
         if n < 3 or n % 2 == 0:
             raise ValueError(f"exchange transform needs odd order >= 3, got n={n}")
-        full = complete_graph(n)
-        # the rotation base: classes S_1..S_{n-1} on colors 0..n-2, S_n left out
-        super().__init__(full, n - 1, (pair for pair in _rotation_pairs(full) if pair[1] < n - 1))
-        self.target = target.edge_set
-        self.extra = {e for e in self.edge_color if e not in self.target}
-        self.missing = {e for e in self.target if e not in self.edge_color}
+        p = n - 1
+        super().__init__(complete_graph(n), p)
+        # row u lists (2c + 2 - u) mod n for c = 0..p-1: a slice of the doubles
+        # 2i mod n, shifted by u / 2 = u * half mod n
+        half = (n + 1) // 2
+        doubles = [2 * i % n for i in range(n)] * 2
+        at = []
+        for u in range(n):
+            start = (1 - u * half) % n
+            at += doubles[start:start + p]
+        for u in range(1, n):
+            at[u * p + u - 1] = -1  # color u - 1 misses u
+        self.at = at
+        # sorted, as a fill of ``_rotation_pairs`` would leave it
+        self.edge_color = {
+            (u, v): c
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (c := ((u + v) * half - 1) % n) < p
+        }
+        self.target = target
+        bits, full = target.bits, (1 << n) - 1
+        # the base colors every pair but those with u + v = n
+        self.extra = {(u, v) for u in range(n) for v in _row(full ^ bits[u], u + 1) if u + v != n}
+        self.missing = {(u, n - u) for u in range(1, half) if bits[u] >> (n - u) & 1}
         self.stats = {
             "attempts": 0,
             "exchanges": 0,
@@ -105,17 +130,19 @@ class ExchangeState(EdgeColoring):
             "restores": 0,
         }
 
-    def remove_edge(self, e: Edge) -> int:
-        color = self.unassign(e.u, e.v)
-        if e in self.target:
+    def remove_edge(self, e: tuple[int, int]) -> int:
+        u, v = e
+        color = self.unassign(u, v)
+        if self.target.bits[u] >> v & 1:
             self.missing.add(e)
         else:
             self.extra.remove(e)
         return color
 
-    def add_edge(self, e: Edge, color: int) -> None:
-        self.assign(e.u, e.v, color)
-        if e in self.target:
+    def add_edge(self, e: tuple[int, int], color: int) -> None:
+        u, v = e
+        self.assign(u, v, color)
+        if self.target.bits[u] >> v & 1:
             self.missing.discard(e)
         else:
             self.extra.add(e)
@@ -148,7 +175,7 @@ def _missing(at: list[int], base: int, palette: int) -> list[int]:
     return out
 
 
-def _plan(state: ExchangeState, add: Edge) -> tuple[int, int] | None:
+def _plan(state: ExchangeState, add: tuple[int, int]) -> tuple[int, int] | None:
     """How the absent edge ``add`` = (u, v) can be colored in the current table.
 
     Returns (c, -1) when u and v share a missing color (c the least), and
@@ -181,7 +208,7 @@ def _plan(state: ExchangeState, add: Edge) -> tuple[int, int] | None:
     return None
 
 
-def _attempt_exchange(state: ExchangeState, remove: Edge, add: Edge) -> bool:
+def _attempt_exchange(state: ExchangeState, remove: tuple[int, int], add: tuple[int, int]) -> bool:
     """Trade one colored edge for one absent edge; at most one Kempe inversion.
 
     On success the state is updated; on failure it is left exactly as found.
@@ -203,7 +230,7 @@ def _attempt_exchange(state: ExchangeState, remove: Edge, add: Edge) -> bool:
     if beta < 0:
         state.stats["direct"] += 1
     else:
-        state.invert_path(add.v, color, beta)  # v misses beta
+        state.invert_path(add[1], color, beta)  # v misses beta
         state.stats["inversions"] += 1
     state.add_edge(add, color)
     state.stats["exchanges"] += 1
@@ -221,15 +248,17 @@ class _Limits:
         return self.nodes <= self.node_budget
 
 
-def _sacrifice_candidates(state: ExchangeState, t: Edge, limits: _Limits) -> list[Edge]:
-    out: list[Edge] = []
+def _sacrifice_candidates(
+    state: ExchangeState, t: tuple[int, int], limits: _Limits
+) -> list[tuple[int, int]]:
+    out: list[tuple[int, int]] = []
     seen = set()
     p = state.palette_size
     for w in t:
         for x in state.at[w * p:(w + 1) * p]:
             if x < 0:
                 continue
-            e = make_edge(w, x)
+            e = (w, x) if w < x else (x, w)
             if e == t or e in seen or e in state.extra or e in limits.banned:
                 continue
             seen.add(e)
@@ -237,7 +266,7 @@ def _sacrifice_candidates(state: ExchangeState, t: Edge, limits: _Limits) -> lis
     return out
 
 
-def _relevant(state: ExchangeState, t: Edge) -> list[Edge]:
+def _relevant(state: ExchangeState, t: tuple[int, int]) -> list[tuple[int, int]]:
     """The extra edges the lemma cannot settle for t, sorted.
 
     These are the extra edges at an endpoint of t and those whose color is
@@ -250,18 +279,18 @@ def _relevant(state: ExchangeState, t: Edge) -> list[Edge]:
         for x in at[base:base + p]:
             if x > w:
                 if (w, x) in extra:
-                    out.add(Edge(w, x))
+                    out.add((w, x))
             elif x >= 0 and (x, w) in extra:
-                out.add(Edge(x, w))
+                out.add((x, w))
         for c in _missing(at, base, p):
             # the color class c as a partner list: vertex y is joined to x
             for y, x in enumerate(at[c::p]):
                 if x > y and (y, x) in extra:
-                    out.add(Edge(y, x))
+                    out.add((y, x))
     return sorted(out)
 
 
-def _try_add(state: ExchangeState, t: Edge, depth: int, limits: _Limits) -> bool:
+def _try_add(state: ExchangeState, t: tuple[int, int], depth: int, limits: _Limits) -> bool:
     """Bring target edge t into the working graph, sacrificing up to `depth` edges.
 
     Only the ``_relevant`` extra edges are tried, in sorted order. The drain

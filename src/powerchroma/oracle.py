@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .coloring import EdgeColoring
-from .powergraph import Edge, Graph, max_degree
+from .powergraph import Graph, max_degree
 
 __all__ = [
     "ColorabilityResult",
@@ -102,10 +102,10 @@ def is_k_edge_colorable(
             i -= 1
             if i < 0:
                 return ColorabilityResult("no", None, nodes)
-            prev = order[i]
+            a, b = order[i]
             bit = 1 << choice[i]
-            used[prev.u] &= ~bit
-            used[prev.v] &= ~bit
+            used[a] &= ~bit
+            used[b] &= ~bit
             continue
         choice[i] = picked
         bit = 1 << picked
@@ -116,7 +116,7 @@ def is_k_edge_colorable(
             return ColorabilityResult("yes", EdgeColoring(graph, k, zip(order, choice)), nodes)
 
 
-def _descent_order(graph: Graph, k: int, degrees: list[int], pivot: int) -> list[Edge]:
+def _descent_order(graph: Graph, k: int, degrees: list[int], pivot: int) -> list[tuple[int, int]]:
     """The edges in the order a greedy first descent colors them, most constrained first.
 
     The pivot's edges come first and take colors 0, 1, 2, ...; then the edge
@@ -129,25 +129,27 @@ def _descent_order(graph: Graph, k: int, degrees: list[int], pivot: int) -> list
     used = [0] * graph.n  # the colors at each vertex
     order = []
     rest = []
-    for e in sorted(graph.edges(), key=lambda e: (-(degrees[e.u] + degrees[e.v]), e)):
+    for e in sorted(graph.edges(), key=lambda e: (-(degrees[e[0]] + degrees[e[1]]), e)):
         if pivot in e:
             bit = 1 << len(order)
-            used[e.u] |= bit
-            used[e.v] |= bit
+            used[e[0]] |= bit
+            used[e[1]] |= bit
             order.append(e)
         else:
             rest.append(e)
 
-    def constraint(e: Edge) -> tuple:
-        return (full & ~(used[e.u] | used[e.v])).bit_count(), -(degrees[e.u] + degrees[e.v]), e
+    def constraint(e: tuple[int, int]) -> tuple:
+        u, v = e
+        return (full & ~(used[u] | used[v])).bit_count(), -(degrees[u] + degrees[v]), e
 
     while rest:
         e = min(rest, key=constraint)
         rest.remove(e)
-        free = full & ~(used[e.u] | used[e.v])
+        u, v = e
+        free = full & ~(used[u] | used[v])
         bit = free & -free
-        used[e.u] |= bit
-        used[e.v] |= bit
+        used[u] |= bit
+        used[v] |= bit
         order.append(e)
     return order
 

@@ -2,7 +2,8 @@
 
 Vertices are 0..n-1. Adjacency is one bitmask per vertex and nothing else:
 edge tests and degrees read it in O(1), and ``Graph.edges`` decodes it on
-request. Everything is immutable after construction.
+request. An edge is a plain ``(u, v)`` tuple with u < v. Everything is
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 import json
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .groups import Group
 
 __all__ = [
-    "Edge",
     "Graph",
     "MAX_JSON_ORDER",
     "build_power_graph",
@@ -38,22 +38,11 @@ MAX_JSON_ORDER = 1_000_000
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-class Edge(NamedTuple):
-    """Canonical unordered vertex pair with u < v."""
-
-    u: int
-    v: int
-
-
-# What Edge(a, b) does, less its Python-level constructor: make_edge runs once per
-# edge in every layer.
-_new_tuple = tuple.__new__
-
-
-def make_edge(a: int, b: int) -> Edge:
+def make_edge(a: int, b: int) -> tuple[int, int]:
+    """The canonical pair (u, v) with u < v; a loop raises ValueError."""
     if a == b:
         raise ValueError(f"loop edge ({a}, {b}) is not allowed")
-    return _new_tuple(Edge, (a, b) if a < b else (b, a))
+    return (a, b) if a < b else (b, a)
 
 
 class Graph:
@@ -66,11 +55,11 @@ class Graph:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         bits = [0] * n
         for a, b in edges:
-            e = make_edge(a, b)
-            if not 0 <= e.u < n or not 0 <= e.v < n:
-                raise ValueError(f"edge {e} out of range for n={n}")
-            bits[e.u] |= 1 << e.v
-            bits[e.v] |= 1 << e.u
+            u, v = make_edge(a, b)
+            if not 0 <= u < n or not 0 <= v < n:
+                raise ValueError(f"edge {(u, v)} out of range for n={n}")
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
         self._adopt_bits(bits, labels)
 
     def _adopt_bits(self, bits: list[int], labels) -> None:
@@ -95,13 +84,9 @@ class Graph:
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
         return self.bits[v].bit_count()
 
-    def edges(self) -> list[Edge]:
+    def edges(self) -> list[tuple[int, int]]:
         """Every edge once, sorted: each row's bits above u, decoded in increasing order."""
-        return [_new_tuple(Edge, (u, v)) for u, m in enumerate(self.bits) for v in _row(m, u + 1)]
-
-    @property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges())
+        return [(u, v) for u, m in enumerate(self.bits) for v in _row(m, u + 1)]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"

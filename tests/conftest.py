@@ -18,7 +18,6 @@ from powerchroma import (
     ColorConflict,
     ColoringError,
     CoreWitness,
-    Edge,
     EdgeColoring,
     Graph,
     Group,
@@ -64,17 +63,17 @@ def k15_exchanged_csv() -> str:
     return _read("k15_rotation_exchanged.csv")
 
 
-def c15_reference_coloring() -> tuple[int, dict[Edge, int]]:
+def c15_reference_coloring() -> tuple[int, dict[tuple[int, int], int]]:
     """The total 14-coloring of the order-15 cyclic power graph."""
     return parse_coloring_csv(c15_reference_csv(), 15)
 
 
-def k15_base_table() -> tuple[int, dict[Edge, int]]:
+def k15_base_table() -> tuple[int, dict[tuple[int, int], int]]:
     """The rotation base table of K_15: 98 colored edges, one matching left out."""
     return parse_coloring_csv(k15_base_csv(), 15)
 
 
-def k15_exchanged_table() -> tuple[int, dict[Edge, int]]:
+def k15_exchanged_table() -> tuple[int, dict[tuple[int, int], int]]:
     """The base table after removing one edge and adding a traded one."""
     return parse_coloring_csv(k15_exchanged_csv(), 15)
 
@@ -143,8 +142,8 @@ def swap_path_colors(coloring: EdgeColoring, vertices, a: int, b: int) -> None:
     for e, c in zip(edges, olds):
         new = b if c == a else a
         coloring.edge_color[e] = new
-        at[e.u * p + new] = e.v
-        at[e.v * p + new] = e.u
+        at[e[0] * p + new] = e[1]
+        at[e[1] * p + new] = e[0]
 
 
 def brute_is_power(group: Group, a: int, b: int) -> bool:
@@ -400,7 +399,7 @@ def reference_coloring_to_csv(coloring) -> str:
     columns = [[] for _ in range(coloring.palette_size)]
     by_color = {}
     for e, c in coloring.items():
-        pair = tuple(sorted((display_vertex(e.u, n), display_vertex(e.v, n))))
+        pair = tuple(sorted((display_vertex(e[0], n), display_vertex(e[1], n))))
         by_color.setdefault(c, []).append(pair)
     for c, pairs in by_color.items():
         columns[c] = [f"({u}, {v})" for u, v in sorted(pairs)]
@@ -418,7 +417,7 @@ def reference_coloring_to_json(coloring) -> str:
     payload = {
         "n": coloring.graph.n,
         "palette": coloring.palette_size,
-        "edges": [{"u": e.u, "v": e.v, "color": c + 1} for e, c in sorted(coloring.items())],
+        "edges": [{"u": e[0], "v": e[1], "color": c + 1} for e, c in sorted(coloring.items())],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -488,11 +487,11 @@ def reference_verify_assignment(graph: Graph, mapping: dict, palette_size: int):
     entries = sorted(((make_edge(*k), c) for k, c in mapping.items()), key=lambda kc: kc[0])
     for e, color in entries:
         if e in normalized:
-            conflicts.append(ColorConflict(e.u, color, e, e))
+            conflicts.append(ColorConflict(e[0], color, e, e))
         else:
             normalized[e] = color
     for e, color in normalized.items():
-        if not (0 <= e.u < graph.n and 0 <= e.v < graph.n) or not graph.bits[e.u] >> e.v & 1:
+        if not (0 <= e[0] < graph.n and 0 <= e[1] < graph.n) or not graph.bits[e[0]] >> e[1] & 1:
             foreign.append(e)
             continue
         if not 0 <= color < palette_size:
@@ -605,7 +604,7 @@ def reference_is_k_edge_colorable(
 ) -> ColorabilityResult:
     """``is_k_edge_colorable`` as first written, in descending degree-sum order.
 
-    The pivot's pins live in an ``Edge``-keyed dict. The library searches the
+    The pivot's pins live in an edge-keyed dict. The library searches the
     edges in another order, so the two agree on each decision they reach
     within the budget, not on the nodes they visit.
     """
@@ -619,7 +618,7 @@ def reference_is_k_edge_colorable(
         return ColorabilityResult("no", None, 0)
 
     degrees = [graph.degree(v) for v in range(graph.n)]
-    order = sorted(graph.edges(), key=lambda e: (-(degrees[e.u] + degrees[e.v]), e))
+    order = sorted(graph.edges(), key=lambda e: (-(degrees[e[0]] + degrees[e[1]]), e))
     top = max(degrees)
     pivot = min(v for v in range(graph.n) if degrees[v] == top)
     forced: dict = {}
@@ -653,8 +652,8 @@ def reference_is_k_edge_colorable(
                 return ColorabilityResult("no", None, nodes)
             prev = order[i]
             bit = 1 << choice[i]
-            used[prev.u] &= ~bit
-            used[prev.v] &= ~bit
+            used[prev[0]] &= ~bit
+            used[prev[1]] &= ~bit
             continue
         choice[i] = picked
         bit = 1 << picked

@@ -7,7 +7,6 @@ import random
 import time
 
 from powerchroma import (
-    Edge,
     EdgeColoring,
     ExchangeState,
     Graph,
@@ -154,13 +153,13 @@ def test_criterion_5_reference_tables():
     base_palette, base_mapping = k15_base_table()
     coloring, matching = base_rotation_coloring(15)
     table2_ok = base_mapping == coloring.edge_color and base_palette == 14
-    classes_ok = set(coloring.graph.edge_set) - set(base_mapping) == set(matching)
+    classes_ok = set(coloring.graph.edges()) - set(base_mapping) == set(matching)
 
     state = ExchangeState(graph)
     copy = EdgeColoring(state.graph, state.palette_size, state.edge_color.items())
     path = copy.invert_path(10, 12, 9)  # on a copy, so the state is left as built
     path_ok = tuple(path) == (10, 1, 4, 7, 13)
-    exchanged_ok = _attempt_exchange(state, Edge(5, 6), Edge(5, 10))
+    exchanged_ok = _attempt_exchange(state, (5, 6), (5, 10))
     _, exchanged = k15_exchanged_table()
     table3_ok = exchanged_ok and state.edge_color == exchanged
     proper_ok = not verify_assignment(complete_graph(15), state.edge_color, 14).conflicts

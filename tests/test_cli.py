@@ -156,6 +156,22 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
+    def test_verify_json_coloring_with_a_huge_palette(self, capsys, tmp_path):
+        # the palette is read from the file; the verifier must not allocate by it
+        graph_path = tmp_path / "g.json"
+        coloring_path = tmp_path / "c.json"
+        run(capsys, "build", "cyclic:9", "--out", str(graph_path))
+        run(capsys, "color", "cyclic:9", "--json", str(coloring_path), "--out", str(tmp_path / "s.json"))
+        payload = json.loads(coloring_path.read_text())
+        payload["palette"] = 10**12
+        coloring_path.write_text(json.dumps(payload))
+        code, out, _ = run(
+            capsys, "verify", "--graph", str(graph_path), "--coloring", str(coloring_path)
+        )
+        assert code == 0
+        result = json.loads(out)
+        assert (result["valid"], result["palette"], result["colored"]) == (True, 10**12, 36)
+
     @pytest.mark.parametrize("payload", ["c15", "[1, 2]", '{"n": 21, "edges": []}'])
     def test_verify_bad_json_coloring_is_one_line_error(self, capsys, tmp_path, payload):
         graph_path = tmp_path / "g.json"

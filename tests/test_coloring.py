@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from powerchroma import (
     ColoringError,
-    Edge,
     EdgeColoring,
     Graph,
     base_rotation_coloring,
@@ -121,17 +120,16 @@ class TestVerify:
 def fills(draw):
     """A small graph, a palette and pairs to fill it with, many of them bad.
 
-    Keys mix canonical edges of the graph, the same edges reversed as ``Edge``
-    values, and plain pairs that may be foreign, negative, out of range or a
-    loop; colors run one past each end of the palette but mostly lie inside
-    it, and the small domains make repeats and clashes at either endpoint
-    common.
+    Keys mix canonical edges of the graph, the same edges reversed, and plain
+    pairs that may be foreign, negative, out of range or a loop; colors run
+    one past each end of the palette but mostly lie inside it, and the small
+    domains make repeats and clashes at either endpoint common.
     """
     n = draw(st.integers(2, 6))
     graph = Graph(n, draw(st.sets(st.sampled_from(complete_graph(n).edges()), min_size=1)))
     palette = draw(st.integers(0, 3))
     canonical = st.sampled_from(graph.edges())
-    reversed_edge = st.sampled_from([Edge(v, u) for u, v in graph.edges()])
+    reversed_edge = st.sampled_from([(v, u) for u, v in graph.edges()])
     plain = st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1))
     colors = st.one_of(st.integers(0, max(palette - 1, 0)), st.integers(-1, palette))
     keys = st.one_of(canonical, canonical, reversed_edge, plain)

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerchroma import (
-    Edge,
     EdgeColoring,
     ExchangeFailure,
     ExchangeState,
     Graph,
     GroupColoring,
+    base_rotation_coloring,
     build_power_graph,
     color_graph,
     color_power_graph,
@@ -41,7 +41,12 @@ from powerchroma.exchange import (
 from powerchroma.overfull import predict_class
 from powerchroma.toolkit import generate_catalog
 
-from conftest import k15_exchanged_table, reference_attempt_exchange, reference_drain
+from conftest import (
+    k15_exchanged_table,
+    random_graph,
+    reference_attempt_exchange,
+    reference_drain,
+)
 
 
 def check_state(state: ExchangeState) -> None:
@@ -53,8 +58,9 @@ def check_state(state: ExchangeState) -> None:
             assert c not in at[x], f"color {c} duplicated at vertex {x}"
             at[x][c] = e
     colored = set(state.edge_color)
-    assert state.extra == colored - state.target
-    assert state.missing == state.target - colored
+    target = set(state.target.edges())
+    assert state.extra == colored - target
+    assert state.missing == target - colored
 
 
 def random_matching_target(rng: random.Random, n: int) -> Graph:
@@ -98,6 +104,21 @@ class TestExchangeState:
         assert len(state.missing) == 7
         check_state(state)
 
+    def test_closed_form_base_matches_the_checked_base(self, rng):
+        for n in range(3, 256, 2):
+            base, left_out = base_rotation_coloring(n)
+            state = ExchangeState(complete_graph(n))
+            assert state.at == base.at, n
+            assert state.edge_color == base.edge_color, n
+            assert state.extra == set() and state.missing == set(left_out), n
+            if n < 64 or n == 255:  # a random target: the set differences against it
+                target = random_graph(rng, n)
+                state = ExchangeState(target)
+                edges = set(target.edges())
+                assert state.extra == base.edge_color.keys() - edges, n
+                assert state.missing == edges - base.edge_color.keys(), n
+                assert state.target is target
+
     def test_even_order_rejected(self):
         with pytest.raises(ValueError):
             ExchangeState(complete_graph(4))
@@ -105,7 +126,7 @@ class TestExchangeState:
     def test_is_an_edge_coloring_of_the_complete_graph(self):
         state = ExchangeState(build_power_graph(construct_group("cyclic:15")))
         assert isinstance(state, EdgeColoring)
-        assert state.graph.edge_set == complete_graph(15).edge_set
+        assert state.graph.edges() == complete_graph(15).edges()
         assert state.palette_size == 14
         report = verify_assignment(state.graph, state.edge_color, 14)
         assert not report.conflicts and len(report.uncolored) == 7
@@ -114,7 +135,7 @@ class TestExchangeState:
 class TestExchangeEdge:
     def test_worked_example_reproduces_shipped_table(self):
         state = ExchangeState(build_power_graph(construct_group("cyclic:15")))
-        assert _attempt_exchange(state, Edge(5, 6), Edge(5, 10))
+        assert _attempt_exchange(state, (5, 6), (5, 10))
         _, expected = k15_exchanged_table()
         assert state.edge_color == expected
         check_state(state)
@@ -123,7 +144,7 @@ class TestExchangeEdge:
         # removing vertex 5's display-color-10 edge lets (5, 10) take that color
         state = ExchangeState(build_power_graph(construct_group("cyclic:15")))
         before = dict(state.stats)
-        assert _attempt_exchange(state, Edge(0, 5), Edge(5, 10))
+        assert _attempt_exchange(state, (0, 5), (5, 10))
         assert state.edge_color[make_edge(5, 10)] == 9
         assert state.stats["direct"] == before["direct"] + 1
         assert state.stats["inversions"] == before["inversions"]
@@ -134,7 +155,7 @@ class TestExchangeEdge:
         # cannot help at depth 1: the lone alternating path joins the endpoints
         state = ExchangeState(build_power_graph(construct_group("cyclic:15")))
         snap = state.snapshot()
-        assert not _attempt_exchange(state, Edge(3, 5), Edge(1, 14))
+        assert not _attempt_exchange(state, (3, 5), (1, 14))
         assert state.edge_color == snap[0]
         assert state.at == snap[1]
         assert state.extra == snap[2]
@@ -338,7 +359,7 @@ class TestColorPowerGraph:
         import powerchroma.exchange as exchange_module
 
         def always_fail(target, n=None, **kwargs):
-            raise ExchangeFailure([], sorted(target.edge_set)[:1], {"attempts": 0})
+            raise ExchangeFailure([], target.edges()[:1], {"attempts": 0})
 
         monkeypatch.setattr(exchange_module, "exchange_coloring", always_fail)
         result = color_power_graph(construct_group("product:cyclic:3,cyclic:3"))

@@ -1,7 +1,6 @@
 """The reference tables under ``tests/data`` and the sample order-21 group."""
 
 from powerchroma import (
-    Edge,
     EdgeColoring,
     ExchangeState,
     base_rotation_coloring,
@@ -60,7 +59,7 @@ class TestBaseTable:
         assert palette == 14
         assert mapping == coloring.edge_color
         # the uncolored set is exactly the last rotation class
-        uncovered = set(coloring.graph.edge_set) - set(mapping)
+        uncovered = set(coloring.graph.edges()) - set(mapping)
         assert uncovered == set(matching)
 
     def test_per_class_sets(self):
@@ -78,7 +77,7 @@ class TestBaseTable:
 class TestExchangedTable:
     def test_reached_by_the_documented_step(self):
         state = ExchangeState(build_power_graph(construct_group("cyclic:15")))
-        assert _attempt_exchange(state, Edge(5, 6), Edge(5, 10))
+        assert _attempt_exchange(state, (5, 6), (5, 10))
         _, expected = k15_exchanged_table()
         assert state.edge_color == expected
 

@@ -58,19 +58,19 @@ class TestBuildPowerGraph:
         group = construct_group("quaternion:2")
         graph = build_power_graph(group)
         assert graph.edge_count == 16
-        assert graph.edge_set == brute_power_graph_edges(group)
+        assert set(graph.edges()) == brute_power_graph_edges(group)
 
     # the closures feed the build, so every small catalog group is checked
     @pytest.mark.parametrize("spec", generate_catalog(32))
     def test_matches_brute_force(self, spec):
         group = construct_group(spec)
         graph = build_power_graph(group)
-        assert graph.edge_set == brute_power_graph_edges(group)
-        assert graph.edge_count == len(graph.edge_set)
+        assert set(graph.edges()) == brute_power_graph_edges(group)
+        assert graph.edge_count == len(graph.edges())
 
     def test_order21_fixture_matches_brute_force(self):
         group = nonabelian21_group()
-        assert build_power_graph(group).edge_set == brute_power_graph_edges(group)
+        assert set(build_power_graph(group).edges()) == brute_power_graph_edges(group)
 
     def test_identity_degree(self):
         for spec in ("cyclic:9", "dihedral:6", "quaternion:2", "product:cyclic:2,cyclic:4"):
@@ -240,6 +240,19 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             make_edge(2, 2)
 
+    def test_out_of_range_edge_message_prints_the_pair(self):
+        message = "edge (0, 5) out of range for n=3"
+        with pytest.raises(ValueError) as info:
+            Graph(3, [(0, 5)])
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            graph_from_json('{"n": 3, "edges": [[5, 0]]}')
+        assert str(info.value) == message
+
+    def test_make_edge_returns_a_plain_sorted_tuple(self):
+        assert type(make_edge(3, 1)) is tuple and make_edge(3, 1) == (1, 3)
+        assert type(make_edge(1, 3)) is tuple and make_edge(1, 3) == (1, 3)
+
     def test_vertices_outside_the_range_have_no_edges(self):
         graph = complete_graph(4)
         for a, b in ((-1, 2), (2, -1), (-1, -2), (4, 0), (0, 4), (3, 7)):
@@ -263,7 +276,7 @@ class TestGraphBasics:
         assert fast.bits == slow.bits
         assert fast.edge_count == slow.edge_count
         assert fast.labels == slow.labels
-        assert fast.edge_set == slow.edge_set
+        assert fast.edges() == slow.edges()
 
     def test_edge_count_is_half_degree_sum(self):
         graph = build_power_graph(construct_group("dihedral:5"))
@@ -276,7 +289,7 @@ class TestSerialization:
         text = graph_to_json(graph)
         again = graph_from_json(text)
         assert graph_to_json(again) == text
-        assert again.edge_set == graph.edge_set
+        assert again.edges() == graph.edges()
         assert again.labels == graph.labels
 
     @pytest.mark.parametrize(
@@ -342,7 +355,7 @@ class TestSerialization:
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         graph = Graph(n, chosen)
         again = graph_from_json(graph_to_json(graph))
-        assert again.edge_set == graph.edge_set
+        assert again.edges() == graph.edges()
 
     def test_dot_output(self):
         graph = build_power_graph(construct_group("cyclic:3"))

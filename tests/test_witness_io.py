@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from powerchroma import (
     ColoringError,
-    Edge,
     EdgeColoring,
     Graph,
     GroupTableError,
     color_power_graph,
     coloring_to_csv,
     coloring_to_json,
+    complete_graph,
     construct_group,
     generate_catalog,
     graph_from_json,
@@ -30,6 +30,8 @@ from powerchroma import (
     verify_assignment,
     verify_proper,
 )
+from powerchroma import coloring as coloring_module
+from powerchroma.coloring import _is_total_and_proper
 from conftest import (
     reference_coloring_to_csv,
     reference_coloring_to_json,
@@ -131,7 +133,7 @@ def perturbed_mappings(draw):
         used.setdefault(u, set()).add(color)
         used.setdefault(v, set()).add(color)
         items.append(((u, v), color))
-    kinds = ["twice", "foreign", "recolor", "conflict", "drop", "as-edge", "reversed-edge"]
+    kinds = ["twice", "foreign", "recolor", "conflict", "drop", "bool", "reversed-edge"]
     small = st.integers(-3, 9)
     ops = st.tuples(st.sampled_from(kinds), st.integers(0, 40), small, small)
     for kind, i, x, y in draw(st.lists(ops, max_size=8)):
@@ -153,10 +155,13 @@ def perturbed_mappings(draw):
                 items[i] = ((a, b), near[abs(x) % len(near)])
         elif kind == "drop":
             del items[i]
-        elif kind == "as-edge":  # keys as the parsers hold them
-            items[i] = (Edge(a, b), color)
-        else:  # an Edge whose fields are out of order
-            items[i] = (Edge(b, a), color)
+        elif kind == "bool":  # a 0 or 1 as a bool, in the color or a vertex
+            if x % 3 == 0:
+                items[i] = ((a, b), bool(color) if color in (0, 1) else color)
+            else:
+                items[i] = ((bool(a) if a in (0, 1) else a, b), color)
+        else:  # the same edge with its vertices out of order
+            items[i] = ((b, a), color)
     order = draw(st.permutations(range(len(items))))
     return graph, dict(items[j] for j in order), palette
 
@@ -167,7 +172,78 @@ class TestPerturbedMappings:
     def test_same_report_as_reference(self, case):
         graph, mapping, palette = case
         report = verify_assignment(graph, mapping, palette)
-        assert report == reference_verify_assignment(graph, mapping, palette)
+        expected = reference_verify_assignment(graph, mapping, palette)
+        assert report == expected
+        # the one-pass check accepts only what the full report finds valid
+        assert not _is_total_and_proper(graph, mapping, palette) or expected.valid
+
+
+def k3_mapping():
+    return {(0, 1): 0, (0, 2): 1, (1, 2): 2}
+
+
+class TestOnePassCheck:
+    """``verify_assignment``'s one-pass check, in front of the sorted pass."""
+
+    def test_every_catalog_witness_passes_without_the_sorted_pass(self, witnesses, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sorted pass ran")
+
+        monkeypatch.setattr(coloring_module, "_sorted_report", refuse)
+        for spec, result in witnesses.items():
+            assert verify_proper(result.graph, result.coloring).valid, spec
+
+    @pytest.mark.parametrize("palette", [10**12, -1, 4])
+    def test_palette_outside_0_to_n_takes_the_sorted_pass(self, palette):
+        graph = complete_graph(3)
+        assert not _is_total_and_proper(graph, k3_mapping(), palette)
+        expected = reference_verify_assignment(graph, k3_mapping(), palette)
+        assert verify_assignment(graph, k3_mapping(), palette) == expected
+
+    def test_a_slot_table_past_the_limit_takes_the_sorted_pass(self, monkeypatch):
+        graph = complete_graph(3)
+        assert _is_total_and_proper(graph, k3_mapping(), 3)
+        monkeypatch.setattr(coloring_module, "_MAX_SLOTS", 3 * 3 - 1)
+        assert not _is_total_and_proper(graph, k3_mapping(), 3)
+        report = verify_assignment(graph, k3_mapping(), 3)
+        assert report == reference_verify_assignment(graph, k3_mapping(), 3)
+        assert report.valid
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {(0, 1): 0, (0, 2): 1},  # a non-edge in place of (1, 2)
+            {(0, 1): 0, (1, 0): 1},  # (0, 1) twice, (1, 2) left out
+            {(0, 1): 0, (1, 2): 0},  # a clash at vertex 1
+            {(0, 1): 0, (1, 2): 2},  # out of the palette
+        ],
+        ids=["non-edge", "twice", "clash", "out-of-palette"],
+    )
+    def test_as_many_entries_as_edges_but_invalid(self, mapping):
+        graph = Graph(3, [(0, 1), (1, 2)])
+        assert not _is_total_and_proper(graph, mapping, 2)
+        report = verify_assignment(graph, mapping, 2)
+        assert report == reference_verify_assignment(graph, mapping, 2)
+        assert not report.valid
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {(0, 1): False, (0, 2): True, (1, 2): 2},
+            {(False, 1): 0, (False, 2): 1, (True, 2): 2},
+            {(1, 0): 0, (0, 2): 1, (1, 2): 2},
+            {(2, 1): 2, (0, 1): 0, (2, 0): 1},
+            {(0, 1): 0, (0, 2): 1, (1, 2): 2.0},
+        ],
+        ids=["bool-colors", "bool-vertices", "one-reversed-key", "two-reversed-keys", "float-color"],
+    )
+    def test_other_keys_and_colors_take_the_sorted_pass(self, mapping):
+        graph = complete_graph(3)
+        assert not _is_total_and_proper(graph, mapping, 3)
+        report = verify_assignment(graph, mapping, 3)
+        assert report == reference_verify_assignment(graph, mapping, 3)
+        assert report.valid
+        assert report.describe() == "valid: 3 edges, 3 colors (palette 3)"
 
 
 def json_values(keys):
