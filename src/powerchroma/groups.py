@@ -2,6 +2,7 @@
 
 Groups are built from family specs (cyclic, dihedral, generalized quaternion,
 direct products) or loaded from table files. Element 0 is always the identity.
+The family tables are built from slices, products from shared row blocks.
 Element orders and cyclic-subgroup membership are cached at construction,
 since the power-graph build queries them repeatedly. Construction walks the
 powers of an element only when no earlier walk reached it, so at most once per
@@ -12,6 +13,7 @@ order o, then <g^k> holds every gcd(k, o)-th power of g.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from math import gcd
 from operator import itemgetter
 from pathlib import Path
@@ -85,6 +87,10 @@ def validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     ``_generating_set``); for a group |A| <= log2(n), so the check computes
     O(n^2 log n) products instead of n^3. A table that is not a group may need
     more generators, up to n - 1, and so more checks, never fewer.
+
+    The columns are checked only when a later check fails, before its error is
+    raised: a table that passes the later checks is a group, whose columns are
+    permutations, so messages and their precedence are as if checked first.
     """
     n = len(table)
     if n == 0:
@@ -97,29 +103,33 @@ def validate_table(table: tuple[tuple[int, ...], ...]) -> None:
                 raise GroupTableError(f"entry {x!r} in row {i} out of range 0..{n - 1}")
         if len(set(row)) != n:
             raise GroupTableError(f"row {i} is not a permutation (Latin square violated)")
-    for j, col in enumerate(zip(*table)):
-        if len(set(col)) != n:
-            raise GroupTableError(f"column {j} is not a permutation (Latin square violated)")
-    for j in range(n):
-        if table[0][j] != j:
-            raise GroupTableError("element 0 is not a left identity")
-        if table[j][0] != j:
-            raise GroupTableError("element 0 is not a right identity")
-    # itemgetter composes rows into tuples, so compare against tuple rows
-    rows = list(map(tuple, table))
-    for b in _generating_set(table):
-        compose = itemgetter(*rows[b])
-        for a, row_a in enumerate(rows):
-            if compose(row_a) != rows[row_a[b]]:
-                raise GroupTableError(f"associativity fails at a={a}, b={b}")
-    for a in range(n):
-        b = table[a].index(0)
-        if table[b][a] != 0:
-            raise GroupTableError(f"element {a} has no two-sided inverse")
+    try:
+        for j in range(n):
+            if table[0][j] != j:
+                raise GroupTableError("element 0 is not a left identity")
+            if table[j][0] != j:
+                raise GroupTableError("element 0 is not a right identity")
+        # itemgetter composes rows into tuples, so compare against tuple rows
+        rows = list(map(tuple, table))
+        for b in _generating_set(table):
+            compose = itemgetter(*rows[b])
+            for a, row_a in enumerate(rows):
+                if compose(row_a) != rows[row_a[b]]:
+                    raise GroupTableError(f"associativity fails at a={a}, b={b}")
+        for a in range(n):
+            b = table[a].index(0)
+            if table[b][a] != 0:
+                raise GroupTableError(f"element {a} has no two-sided inverse")
+    except GroupTableError:
+        for j, col in enumerate(zip(*table)):
+            if len(set(col)) != n:
+                raise GroupTableError(f"column {j} is not a permutation (Latin square violated)") from None
+        raise
 
 
 def _generating_set(table) -> list[int]:
-    """Greedy generators of a Latin table whose element 0 is a two-sided identity.
+    """Greedy generators of a table whose rows are permutations and whose element 0
+    is a two-sided identity.
 
     Repeatedly adds the smallest element outside the closure of {0} and the
     generators so far under multiplication by a generator on either side.
@@ -216,7 +226,8 @@ def cyclic_group(n: int) -> Group:
     """Cyclic group of order n, element i standing for the i-th generator power."""
     if n < 1:
         raise GroupSpecError(f"cyclic:{n}: order must be >= 1")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    twice = tuple(range(n)) * 2
+    table = [twice[i : i + n] for i in range(n)]
     names = ["e"] + ["c" if i == 1 else f"c^{i}" for i in range(1, n)]
     return Group(table, f"cyclic:{n}", names)
 
@@ -226,10 +237,7 @@ def dihedral_group(n: int) -> Group:
     if n < 3:
         raise GroupSpecError(f"dihedral:{n}: need n >= 3 (order 2n)")
     # r^i is element i and r^i s is element n + i; r^i s r^k = r^(i-k) s
-    rotations = [[(i + k) % n for k in range(n)] for i in range(n)]
-    reflections = [[(i - k) % n for k in range(n)] for i in range(n)]
-    table = [row + [x + n for x in row] for row in rotations]
-    table += [[x + n for x in row] + row for row in reflections]
+    table = _twisted_table(n, 0)
     names = ["e"] + ["r" if i == 1 else f"r^{i}" for i in range(1, n)]
     names += ["s"] + ["r s" if i == 1 else f"r^{i} s" for i in range(1, n)]
     return Group(table, f"dihedral:{n}", names)
@@ -245,20 +253,31 @@ def quaternion_group(m: int) -> Group:
     two_m = 2 * m
     # a^i is element i and a^i b is element 2m + i; a^i b a^k = a^(i-k) b and
     # a^i b a^k b = a^(i-k+m)
-    powers = [[(i + k) % two_m for k in range(two_m)] for i in range(two_m)]
-    twisted = [[(i - k) % two_m for k in range(two_m)] for i in range(two_m)]
-    table = [row + [x + two_m for x in row] for row in powers]
-    table += [[x + two_m for x in row] + [(x + m) % two_m for x in row] for row in twisted]
+    table = _twisted_table(two_m, m)
     names = ["e"] + ["a" if i == 1 else f"a^{i}" for i in range(1, two_m)]
     names += ["b"] + ["a b" if i == 1 else f"a^{i} b" for i in range(1, two_m)]
     return Group(table, f"quaternion:{m}", names)
+
+
+def _twisted_table(n: int, twist: int) -> list[tuple[int, ...]]:
+    """Order-2n table on x^i (element i) and x^i y (n + i), with x^i y x^k = x^(i-k) y and
+    x^i y x^k y = x^(i-k+twist), 0 <= twist < n: each row joins two slices of repeated
+    ranges, counting up for x^i and down for x^i y, plain or shifted by n.
+    """
+    up = tuple(range(n)) * 3
+    up_y = tuple(range(n, 2 * n)) * 2
+    table = [up[i : i + n] + up_y[i : i + n] for i in range(n)]
+    # up[j + n : j : -1] counts down from j mod n
+    table += [up_y[i + n : i : -1] + up[i + twist + n : i + twist : -1] for i in range(n)]
+    return table
 
 
 def direct_product(*groups: Group) -> Group:
     """Direct product with mixed-radix element indexing; identity stays at 0.
 
     Factors are folded pairwise: in A x B the element (x, y) has index
-    x*|B| + y, so the row of (a, b) is a's row crossed with b's row.
+    x*|B| + y, so the row of (a, b) joins, for each x in a's row, the block
+    x*|B| + b's row. The blocks of one b are built once and shared by every a.
     """
     if len(groups) < 2:
         raise ValueError("direct_product needs at least two factors")
@@ -266,11 +285,12 @@ def direct_product(*groups: Group) -> Group:
     parts = [(name,) for name in groups[0].element_names]
     for group in groups[1:]:
         m = group.order
-        table = [
-            [x * m + y for x in row_a for y in row_b]
-            for row_a in table
-            for row_b in group.table
-        ]
+        product = [None] * (len(table) * m)
+        for b, row_b in enumerate(group.table):
+            # lists, since tuple blocks raised the peak RSS; one b's blocks live at a time
+            blocks = [[x * m + y for y in row_b] for x in range(len(table))]
+            product[b::m] = [tuple(chain.from_iterable(map(blocks.__getitem__, row_a))) for row_a in table]
+        table = product
         parts = [p + (name,) for p in parts for name in group.element_names]
     label = "product:" + ",".join(g.label for g in groups)
     names = ["(" + ",".join(p) + ")" for p in parts]
@@ -346,7 +366,7 @@ def construct_group(spec: str) -> Group:
         if len(parts) < 2:
             raise GroupSpecError(f"product spec needs at least two factors: {spec!r}")
         for part in parts:
-            if part.lower().startswith("product"):
+            if part.partition(":")[0].strip(_ASCII_SPACE).lower() == "product":
                 raise GroupSpecError(
                     f"nested products are not supported; flatten the factor list: {spec!r}"
                 )

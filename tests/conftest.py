@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import random
@@ -597,6 +598,56 @@ def reference_quaternion_table(m: int) -> list:
                     else:
                         table[idx(i, j)][idx(k, ell)] = idx((i - k + m) % two_m, 0)
     return table
+
+
+def reference_cyclic_table(n: int) -> list:
+    """The cyclic table of order n, cell by cell."""
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = (i + j) % n
+    return table
+
+
+def reference_product_table(*tables) -> list:
+    """The direct product of the tables, cell by cell, folded left to right.
+
+    With m the order of the next factor, the pair (x, y) is element x*m + y,
+    and pairs multiply componentwise.
+    """
+    table = tables[0]
+    for factor in tables[1:]:
+        k, m = len(table), len(factor)
+        product = [[0] * (k * m) for _ in range(k * m)]
+        for a in range(k):
+            for b in range(m):
+                for x in range(k):
+                    for y in range(m):
+                        product[a * m + b][x * m + y] = table[a][x] * m + factor[b][y]
+        table = product
+    return table
+
+
+def reference_group(spec: str) -> tuple[list, list]:
+    """Table and element names of a family or product spec, from the cell-by-cell references."""
+    family, _, param = spec.partition(":")
+    if family == "product":
+        factors = [reference_group(part) for part in param.split(",")]
+        table = reference_product_table(*(t for t, _ in factors))
+        names = ["(" + ",".join(p) + ")" for p in itertools.product(*(nm for _, nm in factors))]
+        return table, names
+
+    def power(x: str, i: int) -> str:
+        return "e" if i == 0 else x if i == 1 else f"{x}^{i}"
+
+    n = int(param)
+    if family == "cyclic":
+        return reference_cyclic_table(n), [power("c", i) for i in range(n)]
+    if family == "dihedral":
+        names = [power("r", i) for i in range(n)]
+        return reference_dihedral_table(n), names + [f"{x} s" if i else "s" for i, x in enumerate(names)]
+    names = [power("a", i) for i in range(2 * n)]
+    return reference_quaternion_table(n), names + [f"{x} b" if i else "b" for i, x in enumerate(names)]
 
 
 def reference_is_k_edge_colorable(
