@@ -25,7 +25,7 @@ from .coloring import (
     verify_proper,
 )
 from .exchange import color_power_graph
-from .groups import GroupSpecError, GroupTableError, _decimal, construct_group
+from .groups import MAX_ORDER, GroupSpecError, GroupTableError, _decimal, construct_group
 from .overfull import core_class1_check, deficiency_report, predict_class
 from .powergraph import build_power_graph, graph_from_json, graph_to_dot, graph_to_json, max_degree
 from .toolkit import generate_catalog, run_survey
@@ -43,6 +43,13 @@ def _integer(text: str) -> int:
         return _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _max_order(text: str) -> int:
+    value = _integer(text)
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_ORDER}, got {text!r}")
+    return value
 
 
 def _nonnegative(text: str) -> int:
@@ -209,7 +216,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("survey", help="classify a whole catalog of groups")
-    p.add_argument("--max-order", type=_integer, required=True)
+    p.add_argument("--max-order", type=_max_order, required=True)
     p.add_argument("--oracle-max-order", type=_nonnegative, default=0)
     p.add_argument("--witness", action="store_true", help="generate and verify colorings")
     p.add_argument("--timing", action="store_true", help="include per-group timings")

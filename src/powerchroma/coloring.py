@@ -180,6 +180,11 @@ class ColorConflict:
     second: tuple[int, int]
 
 
+def _shown(color) -> str:
+    """A color as printed: an int 1-based, anything else as its repr."""
+    return str(color + 1) if type(color) is int else repr(color)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     n: int
@@ -188,7 +193,7 @@ class VerificationReport:
     distinct_colors: int
     conflicts: tuple[ColorConflict, ...]
     uncolored: tuple[tuple[int, int], ...]
-    foreign_edges: tuple[tuple[int, int], ...]  # assigned edges absent from the graph
+    foreign_edges: tuple[tuple[int, int], ...]  # keys absent from the graph, or not pairs of ints
     out_of_palette: tuple[tuple[tuple[int, int], int], ...]
 
     @property
@@ -204,7 +209,7 @@ class VerificationReport:
         parts = []
         for c in self.conflicts:
             parts.append(
-                f"conflict at vertex {c.vertex}: color {c.color + 1} on edges "
+                f"conflict at vertex {c.vertex}: color {_shown(c.color)} on edges "
                 f"{c.first} and {c.second}"
             )
         if self.uncolored:
@@ -213,7 +218,7 @@ class VerificationReport:
             parts.append(f"edges not in graph: {list(self.foreign_edges)}")
         if self.out_of_palette:
             parts.append(
-                "out-of-palette: " + ", ".join(f"{e} -> {c + 1}" for e, c in self.out_of_palette)
+                "out-of-palette: " + ", ".join(f"{e} -> {_shown(c)}" for e, c in self.out_of_palette)
             )
         return "; ".join(parts)
 
@@ -267,20 +272,26 @@ def verify_assignment(graph: Graph, mapping: dict, palette_size: int) -> Verific
 
 
 def _sorted_report(graph: Graph, mapping: dict, palette_size: int) -> VerificationReport:
-    """Every fault of the mapping, found in one pass over its entries sorted by edge."""
+    """Every fault of the mapping, found in one pass over its entries sorted by edge.
+
+    A key that is not a pair of exact ints is foreign as given; a color that is
+    not an exact int is out of the palette. Neither is coerced.
+    """
     n, bits = graph.n, graph.bits
     twice: list[ColorConflict] = []
     conflicts: list[ColorConflict] = []
-    foreign: list[tuple[int, int]] = []
-    out_of_palette: list[tuple[tuple[int, int], int]] = []
+    foreign: list = []
+    out_of_palette: list = []
     first_at: dict[int, tuple[int, int]] = {}  # color * n + x: unique, as 0 <= x < n
     colors = set()
     prev = None
-    # canonical keys (what the parsers and EdgeColoring hold) skip make_edge
-    entries = [
-        (k if type(k) is tuple and len(k) == 2 and k[0] < k[1] else make_edge(*k), c)
-        for k, c in mapping.items()
-    ]
+    entries = []
+    for k, c in mapping.items():
+        if type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int:
+            # canonical keys (what the parsers and EdgeColoring hold) skip make_edge
+            entries.append((k if k[0] < k[1] else make_edge(*k), c))
+        else:
+            foreign.append(k)
     # stable on the edge alone: of (u, v) and (v, u), the first listed keeps its color
     for e, color in sorted(entries, key=itemgetter(0)):
         if e == prev:
@@ -290,6 +301,9 @@ def _sorted_report(graph: Graph, mapping: dict, palette_size: int) -> Verificati
         u, v = e
         if u < 0 or v >= n or not bits[u] >> v & 1:
             foreign.append(e)
+            continue
+        if type(color) is not int:
+            out_of_palette.append((e, color))
             continue
         colors.add(color)
         if not 0 <= color < palette_size:
@@ -301,7 +315,7 @@ def _sorted_report(graph: Graph, mapping: dict, palette_size: int) -> Verificati
     colored = len(mapping) - len(twice) - len(foreign)
     uncolored = ()
     if colored != graph.edge_count:  # colored edges are a subset of E
-        listed = {make_edge(*k) for k in mapping}
+        listed = {e for e, _ in entries}
         uncolored = tuple(e for e in graph.edges() if e not in listed)
     return VerificationReport(
         n=n,

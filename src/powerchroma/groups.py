@@ -3,18 +3,20 @@
 Groups are built from family specs (cyclic, dihedral, generalized quaternion,
 direct products) or loaded from table files. Element 0 is always the identity.
 The family tables are built from slices, products from shared row blocks.
-Element orders and cyclic-subgroup membership are cached at construction,
-since the power-graph build queries them repeatedly. Construction walks the
-powers of an element only when no earlier walk reached it, so at most once per
-cyclic subgroup, and reads every subgroup inside it off that walk: if g has
-order o, then <g^k> holds every gcd(k, o)-th power of g.
+Validation scans the rows and columns for Latin faults only when a group
+axiom fails, and composes byte rows in C up to order 256. Element orders and
+cyclic-subgroup membership are cached at construction, since the power-graph
+build queries them repeatedly. Construction walks the powers of an element
+only when no earlier walk reached it, so at most once per cyclic subgroup,
+and reads every subgroup inside it off that walk: if g has order o, then
+<g^k> holds every gcd(k, o)-th power of g.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
 from pathlib import Path
 
@@ -34,6 +36,10 @@ __all__ = [
     "quaternion_group",
     "validate_table",
 ]
+
+
+# Largest order a spec may ask for: n vertices by a palette of n fill coloring._MAX_SLOTS.
+MAX_ORDER = 4096
 
 
 class GroupSpecError(ValueError):
@@ -80,62 +86,77 @@ def euler_phi(n: int) -> int:
 def validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     """Check the full group axioms: Latin square, identity at 0, associativity, inverses.
 
+    Every row's length and entries (exact ints in 0..n-1) are checked first,
+    then the identity, associativity and inverses. A table that passes these
+    is a monoid with two-sided inverses, so a group, whose rows and columns
+    are permutations. So rows, then columns, are scanned only when a check
+    fails, before its error is raised: the messages and their precedence are
+    those of checking them first.
+
     Associativity is verified exactly with Light's test (Clifford & Preston,
     *The Algebraic Theory of Semigroups* I, section 1.2): if a set A generates
     the table, it suffices that a*(b*c) = (a*b)*c for every b in A and all a, c,
     i.e. row_a composed with row_b equals row_{a*b}. A is chosen greedily (see
     ``_generating_set``); for a group |A| <= log2(n), so the check computes
     O(n^2 log n) products instead of n^3. A table that is not a group may need
-    more generators, up to n - 1, and so more checks, never fewer.
-
-    The columns are checked only when a later check fails, before its error is
-    raised: a table that passes the later checks is a group, whose columns are
-    permutations, so messages and their precedence are as if checked first.
+    more generators, up to n - 1, and so more checks, never fewer. Up to
+    n = 256 ``bytes.translate`` composes byte rows in C, each padded to its
+    256-byte map; past that a byte cannot hold an index, and ``itemgetter`` does.
     """
     n = len(table)
     if n == 0:
         raise GroupTableError("empty multiplication table")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise GroupTableError(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if type(x) is not int or not 0 <= x < n:
-                raise GroupTableError(f"entry {x!r} in row {i} out of range 0..{n - 1}")
-        if len(set(row)) != n:
-            raise GroupTableError(f"row {i} is not a permutation (Latin square violated)")
+    well_formed = 0  # rows whose length and entries are checked
     try:
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise GroupTableError(f"row {i} has length {len(row)}, expected {n}")
+            for x in row:
+                if type(x) is not int or not 0 <= x < n:
+                    raise GroupTableError(f"entry {x!r} in row {i} out of range 0..{n - 1}")
+            well_formed += 1
         for j in range(n):
             if table[0][j] != j:
                 raise GroupTableError("element 0 is not a left identity")
             if table[j][0] != j:
                 raise GroupTableError("element 0 is not a right identity")
-        # itemgetter composes rows into tuples, so compare against tuple rows
-        rows = list(map(tuple, table))
+        if n <= 256:  # the bytes hold element indices, and translate maps through 256 bytes
+            rows = [bytes(row) for row in table]
+            maps = [row + bytes(256 - n) for row in rows]
+            composer = lambda row: row.translate
+        else:
+            rows = maps = list(map(tuple, table))
+            composer = lambda row: itemgetter(*row)
         for b in _generating_set(table):
-            compose = itemgetter(*rows[b])
+            compose = composer(rows[b])
             for a, row_a in enumerate(rows):
-                if compose(row_a) != rows[row_a[b]]:
+                if compose(maps[a]) != rows[row_a[b]]:
                     raise GroupTableError(f"associativity fails at a={a}, b={b}")
-        for a in range(n):
-            b = table[a].index(0)
-            if table[b][a] != 0:
+        for a, row in enumerate(rows):
+            if 0 not in row or rows[row.index(0)][a] != 0:
                 raise GroupTableError(f"element {a} has no two-sided inverse")
     except GroupTableError:
-        for j, col in enumerate(zip(*table)):
-            if len(set(col)) != n:
-                raise GroupTableError(f"column {j} is not a permutation (Latin square violated)") from None
+        latin = "is not a permutation (Latin square violated)"
+        for i in range(well_formed):
+            if len(set(table[i])) != n:
+                raise GroupTableError(f"row {i} {latin}") from None
+        if well_formed == n:
+            for j, col in enumerate(zip(*table)):
+                if len(set(col)) != n:
+                    raise GroupTableError(f"column {j} {latin}") from None
         raise
 
 
 def _generating_set(table) -> list[int]:
-    """Greedy generators of a table whose rows are permutations and whose element 0
-    is a two-sided identity.
+    """Greedy generators of a table with in-range entries and a two-sided identity at 0.
 
     Repeatedly adds the smallest element outside the closure of {0} and the
     generators so far under multiplication by a generator on either side.
     That closure lies inside the submagma the generators produce (and equals
     the generated subgroup for a group), so the result always generates the
     whole table. The identity is left out: it passes Light's test trivially.
+    Only the in-range entries and the identity are used, not Latin rows:
+    every element enters ``inside`` at most once, so the walk ends.
     """
     n = len(table)
     inside = [True] + [False] * (n - 1)
@@ -345,22 +366,33 @@ def construct_group(spec: str) -> Group:
 
     Grammar: ``cyclic:n`` (n >= 1), ``dihedral:n`` (order 2n, n >= 3),
     ``quaternion:m`` (order 4m, m >= 2), ``product:<spec>,<spec>[,...]``
-    with non-product factors, or ``table:<file>``.
+    with non-product factors, or ``table:<file>``. An order above ``MAX_ORDER``
+    is refused before any table is built (a ``table:`` file is read first).
     """
+    order, build = _parse_spec(spec)
+    if order > MAX_ORDER:
+        raise GroupSpecError(f"{spec!r} has order {order}, above the limit of {MAX_ORDER}")
+    return build()
+
+
+def _parse_spec(spec: str):
+    """The order a spec asks for and a function that builds its group."""
     text = spec.strip(_ASCII_SPACE)
     head, sep, rest = text.partition(":")
     head = head.strip(_ASCII_SPACE).lower()
     rest = rest.strip(_ASCII_SPACE)
     if not sep or not rest:
         raise GroupSpecError(f"malformed group spec {spec!r}")
-    families = {"cyclic": cyclic_group, "dihedral": dihedral_group, "quaternion": quaternion_group}
-    family = families.get(head)
-    if family is not None:
+    families = {"cyclic": (cyclic_group, 1), "dihedral": (dihedral_group, 2),
+                "quaternion": (quaternion_group, 4)}
+    if head in families:
+        family, scale = families[head]
         try:
             param = _decimal(rest)
         except ValueError as exc:
             raise GroupSpecError(f"expected an integer parameter in {spec!r}") from exc
-        return family(param)
+        # a parameter below the family's least is refused by the family itself
+        return scale * max(param, 1), lambda: family(param)
     if head == "product":
         parts = [p.strip(_ASCII_SPACE) for p in rest.split(",")]
         if len(parts) < 2:
@@ -370,9 +402,11 @@ def construct_group(spec: str) -> Group:
                 raise GroupSpecError(
                     f"nested products are not supported; flatten the factor list: {spec!r}"
                 )
-        return direct_product(*(construct_group(p) for p in parts))
+        factors = [_parse_spec(p) for p in parts]
+        return prod(o for o, _ in factors), lambda: direct_product(*(b() for _, b in factors))
     if head == "table":
-        return load_table_file(rest)
+        group = load_table_file(rest)
+        return group.order, lambda: group
     raise GroupSpecError(f"unknown group family {head!r} in spec {spec!r}")
 
 

@@ -482,18 +482,33 @@ def reference_report_dict(report, include_timing: bool = False) -> dict:
 
 
 def reference_verify_assignment(graph: Graph, mapping: dict, palette_size: int):
-    """The verifier as first written: normalize, dedupe, check, rebuild the edge set."""
+    """The verifier as first written: normalize, dedupe, check, rebuild the edge set.
+
+    Keys that are not pairs of exact ints are foreign as given, and colors that
+    are not exact ints out of the palette, neither coerced nor counted.
+    """
     conflicts, foreign, out_of_palette = [], [], []
     first_at, normalized = {}, {}
-    entries = sorted(((make_edge(*k), c) for k, c in mapping.items()), key=lambda kc: kc[0])
+    pairs = []
+    for k, c in mapping.items():
+        if isinstance(k, tuple) and len(k) == 2 and all(type(x) is int for x in k):
+            pairs.append((make_edge(*k), c))
+        else:
+            foreign.append(k)
+    entries = sorted(pairs, key=lambda kc: kc[0])
     for e, color in entries:
         if e in normalized:
             conflicts.append(ColorConflict(e[0], color, e, e))
         else:
             normalized[e] = color
+    colored = set()
     for e, color in normalized.items():
         if not (0 <= e[0] < graph.n and 0 <= e[1] < graph.n) or not graph.bits[e[0]] >> e[1] & 1:
             foreign.append(e)
+            continue
+        colored.add(e)
+        if type(color) is not int:
+            out_of_palette.append((e, color))
             continue
         if not 0 <= color < palette_size:
             out_of_palette.append((e, color))
@@ -503,14 +518,12 @@ def reference_verify_assignment(graph: Graph, mapping: dict, palette_size: int):
                 first_at[(x, color)] = e
             else:
                 conflicts.append(ColorConflict(x, color, prev, e))
-    foreign_set = set(foreign)
-    colored = {e for e in normalized if e not in foreign_set}
     every = {make_edge(u, v) for u in range(graph.n) for v in brute_row(graph, u)}
     return VerificationReport(
         n=graph.n,
         palette_size=palette_size,
         colored_count=len(colored),
-        distinct_colors=len({normalized[e] for e in colored}) if colored else 0,
+        distinct_colors=len({normalized[e] for e in colored if type(normalized[e]) is int}),
         conflicts=tuple(conflicts),
         uncolored=tuple(sorted(every - colored)),
         foreign_edges=tuple(foreign),

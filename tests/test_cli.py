@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import powerchroma
+from powerchroma import cli as cli_module
 from powerchroma.cli import main
 from conftest import nonabelian21_text
 
@@ -61,6 +62,21 @@ class TestAnalyzeClassify:
         code, out, err = run(capsys, "classify", spec)
         assert (code, out) == (1, "")
         assert err == f"error: expected an integer parameter in {spec!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "cyclic:4097"),
+            ("build", "product:cyclic:64,cyclic:65"),
+            ("survey", "--max-order", "3", "--extra", "dihedral:2049"),
+        ],
+    )
+    def test_an_order_above_the_limit_is_one_line_and_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "above the limit of 4096" in err
+        assert err.count("\n") == 1
 
     def test_classify_table_spec(self, capsys, tmp_path):
         path = tmp_path / "g21.table"
@@ -277,6 +293,14 @@ class TestSurvey:
 
 
 class TestFlagErrors:
+    def test_max_order_is_refused_just_above_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "MAX_ORDER", 3)  # a survey to 4096 would take hours
+        with pytest.raises(SystemExit) as info:
+            main(["survey", "--max-order", "4"])
+        assert info.value.code == 1
+        assert capsys.readouterr().err == "error: argument --max-order: must be at most 3, got '4'\n"
+        assert run(capsys, "survey", "--max-order", "3")[0] == 0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -286,6 +310,8 @@ class TestFlagErrors:
             ("survey", "--max-order", "1_0"),
             ("survey", "--max-order", "3", "--oracle-max-order", "1_0"),
             ("color", "cyclic:15", "--strategy", "rhee"),
+            ("survey", "--max-order", "4097"),
+            ("survey", "--max-order", "99999999999999999999"),
         ],
     )
     def test_one_line_and_exit_1(self, capsys, argv):

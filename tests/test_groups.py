@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,7 +21,8 @@ from powerchroma import (
     load_table_text,
     validate_table,
 )
-from powerchroma.groups import _generating_set
+from powerchroma import groups as groups_module
+from powerchroma.groups import MAX_ORDER, _generating_set
 from conftest import (
     brute_is_power,
     brute_phi,
@@ -184,6 +186,37 @@ class TestConstructGroup:
             construct_group(spec)
         assert str(info.value) == expected.format(spec=spec)
 
+    @pytest.mark.parametrize(
+        "spec, order",
+        [
+            ("cyclic:4097", 4097),
+            ("dihedral:2049", 4098),
+            ("quaternion:1025", 4100),
+            ("product:cyclic:64,cyclic:65", 4160),
+            ("product:cyclic:2,dihedral:1025,cyclic:1", 4100),
+            ("product:cyclic:100000,cyclic:0", 100000),
+        ],
+    )
+    def test_an_order_above_the_limit_is_refused_before_any_table(self, spec, order):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupSpecError) as info:
+                construct_group(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{spec!r} has order {order}, above the limit of {MAX_ORDER}"
+        assert peak < 100_000
+
+    def test_an_order_at_the_limit_is_built(self, monkeypatch):
+        assert MAX_ORDER == 4096
+        monkeypatch.setattr(groups_module, "MAX_ORDER", 12)  # a table of order 4096 takes seconds
+        for spec in ("cyclic:12", "dihedral:6", "quaternion:3", "product:cyclic:2,cyclic:6"):
+            assert construct_group(spec).order == 12
+        for spec in ("cyclic:13", "dihedral:7", "quaternion:4", "product:cyclic:2,cyclic:7"):
+            with pytest.raises(GroupSpecError, match="above the limit of 12"):
+                construct_group(spec)
+
     def test_negative_parameter_reaches_the_range_check(self):
         with pytest.raises(GroupSpecError, match="order must be >= 1"):
             construct_group("cyclic:-3")
@@ -296,6 +329,82 @@ class TestValidator:
         table = ((0, 1, 2), (2, 0, 1), (2, 0, 1))
         expected = "column 0 is not a permutation (Latin square violated)"
         assert message(validate_table, table) == message(reference_validate_table, table) == expected
+
+    @pytest.mark.parametrize(
+        "table, expected",
+        [
+            pytest.param((), "empty multiplication table", id="empty"),
+            pytest.param(((0, 1), (1,)), "row 1 has length 1, expected 2", id="ragged"),
+            pytest.param(((0, 1), (1, 2)), "entry 2 in row 1 out of range 0..1", id="entry-n"),
+            pytest.param(
+                ((0, 1, 2), (1, 2, 0), (2, 0, -1)), "entry -1 in row 2 out of range 0..2", id="entry-neg"
+            ),
+            # Latin rows and columns, row 0 the identity and column 0 not
+            pytest.param(
+                ((0, 1, 2), (2, 0, 1), (1, 2, 0)), "element 0 is not a right identity", id="right-identity"
+            ),
+            # row 1 repeats 1 and row 2 holds 5: the row fault comes first
+            pytest.param(
+                ((0, 1, 2), (1, 1, 0), (2, 0, 5)),
+                "row 1 is not a permutation (Latin square violated)",
+                id="row-before-range",
+            ),
+            # column 0 repeats 0, but row 2's range fault comes first: no column is read
+            pytest.param(
+                ((0, 1, 2), (0, 1, 2), (2, 0, 5)),
+                "entry 5 in row 2 out of range 0..2",
+                id="range-before-columns",
+            ),
+            # Latin rows, an identity at 0 both ways, columns 2 and 3 repeat a value
+            pytest.param(
+                ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 1, 0)),
+                "column 2 is not a permutation (Latin square violated)",
+                id="column-before-axioms",
+            ),
+            # a monoid {e, z} with z * z = z: identity and associativity pass, row 1 lacks 0
+            pytest.param(
+                ((0, 1), (1, 1)), "row 1 is not a permutation (Latin square violated)", id="row-without-0"
+            ),
+        ],
+    )
+    def test_messages_and_their_precedence(self, table, expected):
+        assert message(validate_table, table) == expected
+        assert message(reference_validate_table, table) == expected
+
+    def test_an_identity_away_from_0_is_refused(self):
+        # cyclic:5 with elements 0 and 1 swapped: Latin and associative, identity at 1
+        swap = [1, 0, 2, 3, 4]
+        table = [[None] * 5 for _ in range(5)]
+        for i, row in enumerate(construct_group("cyclic:5").table):
+            for j, x in enumerate(row):
+                table[swap[i]][swap[j]] = swap[x]
+        table = tuple(map(tuple, table))
+        assert table[1] == tuple(range(5)) and all(row[1] == i for i, row in enumerate(table))
+        assert message(validate_table, table) == "element 0 is not a left identity"
+        assert message(reference_validate_table, table) == "element 0 is not a left identity"
+
+    @pytest.mark.parametrize("spec", ["cyclic:256", "cyclic:257"])
+    def test_orders_either_side_of_the_byte_rows_are_accepted(self, spec):
+        table = construct_group(spec).table
+        assert message(validate_table, table) is None
+
+    @pytest.mark.parametrize(
+        "spec, cells",
+        [
+            pytest.param("product:" + ",".join(["cyclic:2"] * 8), (1, 2, 1, 2), id="order-256"),
+            pytest.param("dihedral:129", (1, 129, 1, 256), id="order-258"),
+        ],
+    )
+    def test_associativity_faults_either_side_of_the_byte_rows(self, spec, cells):
+        table = switch(construct_group(spec).table, cells)
+        failures = [
+            (a, b)
+            for b in _generating_set(table)
+            for a in range(len(table))
+            if [table[a][x] for x in table[b]] != list(table[table[a][b]])
+        ]
+        assert failures[0] == (1, 1)
+        assert message(validate_table, table) == "associativity fails at a=1, b=1"
 
     def test_integral_floats_are_not_coerced(self):
         # {0, 1.0} == {0, 1}: a check on the set of a row's values would accept this

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from powerchroma import build_power_graph, construct_group
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "powerchroma"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
@@ -213,3 +215,27 @@ def test_every_function_is_used():
         if not isinstance(node, ast.ClassDef) and f"{module}.{qualified}" not in reachable
     )
     assert unused == []
+
+
+def traced() -> tuple:
+    """``TRACED`` from ``perfbench/spans.py``, read from its source, not imported."""
+    for node in parse(BENCH / "spans.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+@pytest.mark.parametrize("module, function", traced(), ids=lambda x: x)
+def test_every_traced_function_exists(module, function):
+    # a traced name that is gone makes its benchmark layer metric read null
+    assert callable(getattr(importlib.import_module(f"powerchroma.{module}"), function, None))
+
+
+def test_the_hooked_classes_exist():
+    powergraph = importlib.import_module("powerchroma.powergraph")
+    exchange = importlib.import_module("powerchroma.exchange")
+    assert isinstance(powergraph.Graph, type) and isinstance(exchange.ExchangeState, type)
+    state = exchange.ExchangeState(build_power_graph(construct_group("cyclic:9")))
+    assert {"attempts", "exchanges", "inversions", "restores"} <= set(state.stats)

@@ -117,6 +117,9 @@ class TestCoreCheck:
     def test_k9_no_witness(self):
         assert core_class1_check(complete_graph(9)) is None
 
+    def test_empty_graph_no_witness(self):
+        assert core_class1_check(Graph(0, [])) is None
+
     def test_acyclic_core_branch(self):
         # star: every vertex has degree <= 3, core of max-degree vertices is edgeless
         from powerchroma import Graph

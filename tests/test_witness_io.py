@@ -41,6 +41,11 @@ from conftest import (
 )
 
 SPECS = list(generate_catalog(60).specs) + ["cyclic:255"]
+SMALL_WITNESSES = [
+    (result.graph, result.coloring.edge_color, result.coloring.palette_size)
+    for result in map(color_power_graph, map(construct_group, generate_catalog(12)))
+    if result.graph.edge_count
+]
 
 
 @pytest.fixture(scope="module")
@@ -229,21 +234,90 @@ class TestOnePassCheck:
     @pytest.mark.parametrize(
         "mapping",
         [
-            {(0, 1): False, (0, 2): True, (1, 2): 2},
-            {(False, 1): 0, (False, 2): 1, (True, 2): 2},
             {(1, 0): 0, (0, 2): 1, (1, 2): 2},
             {(2, 1): 2, (0, 1): 0, (2, 0): 1},
-            {(0, 1): 0, (0, 2): 1, (1, 2): 2.0},
         ],
-        ids=["bool-colors", "bool-vertices", "one-reversed-key", "two-reversed-keys", "float-color"],
+        ids=["one-reversed-key", "two-reversed-keys"],
     )
-    def test_other_keys_and_colors_take_the_sorted_pass(self, mapping):
+    def test_reversed_keys_take_the_sorted_pass(self, mapping):
         graph = complete_graph(3)
         assert not _is_total_and_proper(graph, mapping, 3)
         report = verify_assignment(graph, mapping, 3)
         assert report == reference_verify_assignment(graph, mapping, 3)
         assert report.valid
         assert report.describe() == "valid: 3 edges, 3 colors (palette 3)"
+
+    @pytest.mark.parametrize(
+        "mapping, fault",
+        [
+            (
+                {(0, 1): False, (0, 2): True, (1, 2): 2},
+                "out-of-palette: (0, 1) -> False, (0, 2) -> True",
+            ),
+            ({(0, 1): 0, (0, 2): 1, (1, 2): 2.0}, "out-of-palette: (1, 2) -> 2.0"),
+            ({(0, 1): 0, (0, 2): 1, (1, 2): True}, "out-of-palette: (1, 2) -> True"),
+            ({(0, 1): 0, (0, 2): 1, (1, 2): "c"}, "out-of-palette: (1, 2) -> 'c'"),
+            (
+                {(0, 1): 0, (0, 2): 1, (True, 2): 2},
+                "uncolored edges: [(1, 2)]; edges not in graph: [(True, 2)]",
+            ),
+            (
+                {(False, 1): 0, (False, 2): 1, (True, 2): 2},
+                "uncolored edges: [(0, 1), (0, 2), (1, 2)]; "
+                "edges not in graph: [(False, 1), (False, 2), (True, 2)]",
+            ),
+            ({(0, 1): 0, (0, 2): 1, (1, 2): 2, (0, 1, 2): 0}, "edges not in graph: [(0, 1, 2)]"),
+            ({(0, 1): 0, (0, 2): 1, 5: 2}, "uncolored edges: [(1, 2)]; edges not in graph: [5]"),
+            ({(0, 1): 0, "ab": 1, (1, 2): 2}, "uncolored edges: [(0, 2)]; edges not in graph: ['ab']"),
+            (
+                {(0, 1): 0, (0, 2): 1, (1, 2.0): 2},
+                "uncolored edges: [(1, 2)]; edges not in graph: [(1, 2.0)]",
+            ),
+        ],
+        ids=[
+            "bool-colors", "float-color", "bool-color", "str-color", "bool-vertex", "bool-vertices",
+            "triple-key", "int-key", "str-key", "float-vertex",
+        ],
+    )
+    def test_keys_and_colors_are_not_coerced(self, mapping, fault):
+        graph = complete_graph(3)
+        assert not _is_total_and_proper(graph, mapping, 3)
+        report = verify_assignment(graph, mapping, 3)
+        assert report == reference_verify_assignment(graph, mapping, 3)
+        assert not report.valid
+        assert report.describe() == fault
+
+    def test_a_non_int_color_listed_twice_is_shown_as_given(self):
+        report = verify_assignment(Graph(2, [(0, 1)]), {(0, 1): 0, (1, 0): "x"}, 2)
+        assert report == reference_verify_assignment(Graph(2, [(0, 1)]), {(0, 1): 0, (1, 0): "x"}, 2)
+        assert report.describe() == "conflict at vertex 0: color 'x' on edges (0, 1) and (0, 1)"
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_odd_entries_in_a_valid_witness_are_reported(self, data):
+        graph, mapping, palette = data.draw(st.sampled_from(SMALL_WITNESSES))
+        mapping = dict(mapping)
+        odd_keys = st.sampled_from([5, "ab", None, 1.5, (0, 1, 2), (0,), ()])
+        odd_colors = st.sampled_from([True, False, 0.0, 1.0, 2.5, "1", None, (0,)])
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["key", "color", "extra"]))
+            edges = [e for e in mapping if type(e) is tuple and len(e) == 2 and type(e[0]) is int]
+            if kind == "extra" or not edges:
+                mapping[data.draw(odd_keys)] = data.draw(st.integers(0, palette))
+                continue
+            u, v = edge = data.draw(st.sampled_from(edges))
+            if kind == "color":
+                mapping[edge] = data.draw(odd_colors)
+            else:  # the same edge under a key that only compares equal to it, or not at all
+                color = mapping.pop(edge)
+                key = data.draw(st.sampled_from([(float(u), v), (u, float(v)), (u, v, u), f"{u},{v}"]))
+                if u in (0, 1):
+                    key = data.draw(st.sampled_from([key, (bool(u), v)]))
+                mapping[key] = color
+        report = verify_assignment(graph, mapping, palette)
+        assert not report.valid
+        assert report == reference_verify_assignment(graph, mapping, palette)
+        assert report.describe()
 
 
 def json_values(keys):
