@@ -112,9 +112,16 @@ class EdgeColoring:
     def color_of(self, a: int, b: int) -> int | None:
         return self.edge_color.get(make_edge(a, b))
 
-    def missing_at(self, v: int) -> set[int]:
+    def missing_at(self, v: int) -> list[int]:
+        """The colors v misses, ascending."""
         p = self.palette_size
-        return {c for c, w in enumerate(self.at[v * p:(v + 1) * p]) if w < 0}
+        row = self.at[v * p:(v + 1) * p]
+        out = []
+        c = -1
+        for _ in range(row.count(-1)):
+            c = row.index(-1, c + 1)
+            out.append(c)
+        return out
 
     def assign(self, a: int, b: int, color: int) -> None:
         self._fill((((a, b), color),))
@@ -274,8 +281,8 @@ def verify_assignment(graph: Graph, mapping: dict, palette_size: int) -> Verific
 def _sorted_report(graph: Graph, mapping: dict, palette_size: int) -> VerificationReport:
     """Every fault of the mapping, found in one pass over its entries sorted by edge.
 
-    A key that is not a pair of exact ints is foreign as given; a color that is
-    not an exact int is out of the palette. Neither is coerced.
+    A key that is not a pair of distinct exact ints is foreign as given; a
+    color that is not an exact int is out of the palette. Neither is coerced.
     """
     n, bits = graph.n, graph.bits
     twice: list[ColorConflict] = []
@@ -287,7 +294,8 @@ def _sorted_report(graph: Graph, mapping: dict, palette_size: int) -> Verificati
     prev = None
     entries = []
     for k, c in mapping.items():
-        if type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int:
+        pair = type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int
+        if pair and k[0] != k[1]:
             # canonical keys (what the parsers and EdgeColoring hold) skip make_edge
             entries.append((k if k[0] < k[1] else make_edge(*k), c))
         else:

@@ -12,11 +12,13 @@ near-perfect matching throughout; the final coloring leaves the surplus out.
 The trades run as one drain: each missing target edge is brought in by a
 depth-1 Kempe exchange against some extra edge or, failing that, by a
 sacrifice chain that temporarily removes up to ``CHAIN_DEPTH`` target edges,
-all under a budget of ``NODE_BUDGET`` chain calls. The state works on the
-same ``EdgeColoring`` table as every other coloring. When the drain fails,
-``ExchangeFailure`` carries diagnostics and proves nothing about the
-target's chromatic index; ``color_graph`` then falls back to exact
-search, as it does for every graph with no full-degree vertex.
+all under a budget of ``NODE_BUDGET`` chain calls, counted in
+``stats["chain_calls"]``. The state works on the same ``EdgeColoring`` table
+as every other coloring, and a colored edge is extra exactly when the
+target's bit for it is 0. When the drain fails, ``ExchangeFailure`` carries
+diagnostics and proves nothing about the target's chromatic index;
+``color_graph`` then falls back to exact search, as it does for every graph
+with no full-degree vertex.
 
 An attempt to trade a colored edge r (color x) for an absent edge t = (u, v)
 removes r and then looks for a color missing at both u and v, or for a pair
@@ -47,7 +49,7 @@ from . import oracle
 from .coloring import EdgeColoring, _round_robin_pairs, _rotation_pairs
 from .groups import Group
 from .overfull import OverfullReport, deficiency_report, is_overfull
-from .powergraph import Graph, _row, build_power_graph, complete_graph, max_degree
+from .powergraph import Graph, build_power_graph, complete_graph, max_degree
 
 __all__ = [
     "ExchangeFailure",
@@ -79,9 +81,10 @@ class ExchangeFailure(RuntimeError):
 class ExchangeState(EdgeColoring):
     """The working coloring: an ``EdgeColoring`` of K_n over a shifting edge set.
 
-    ``extra`` holds colored edges absent from the target; ``missing`` holds
-    target edges not currently colored. Inversions and exchanges keep the
-    coloring proper; |extra| - |missing| is invariant.
+    ``missing`` holds target edges not currently colored; ``banned``, the
+    edges a running sacrifice chain brought in and may not give up again.
+    ``extra`` (colored edges absent from the target) is read off the table.
+    Exchanges keep the coloring proper; |extra| - |missing| is invariant.
 
     The state starts from the rotation base (``_rotation_pairs`` of K_n less
     the class n-1): color c joins u to (2c + 2 - u) mod n and misses vertex
@@ -90,7 +93,7 @@ class ExchangeState(EdgeColoring):
     coloring is refilled through the checked fill, and its callers verify it.
     """
 
-    __slots__ = ("target", "extra", "missing", "stats")
+    __slots__ = ("target", "missing", "banned", "stats")
 
     def __init__(self, target: Graph):
         n = target.n
@@ -117,62 +120,38 @@ class ExchangeState(EdgeColoring):
             if (c := ((u + v) * half - 1) % n) < p
         }
         self.target = target
-        bits, full = target.bits, (1 << n) - 1
         # the base colors every pair but those with u + v = n
-        self.extra = {(u, v) for u in range(n) for v in _row(full ^ bits[u], u + 1) if u + v != n}
-        self.missing = {(u, n - u) for u in range(1, half) if bits[u] >> (n - u) & 1}
-        self.stats = {
-            "attempts": 0,
-            "exchanges": 0,
-            "direct": 0,
-            "inversions": 0,
-            "chain_calls": 0,
-            "restores": 0,
-        }
+        self.missing = {(u, n - u) for u in range(1, half) if target.bits[u] >> (n - u) & 1}
+        self.banned: set[tuple[int, int]] = set()
+        counters = ("attempts", "exchanges", "inversions", "chain_calls", "restores")
+        self.stats = dict.fromkeys(counters, 0)
+
+    @property
+    def extra(self) -> set[tuple[int, int]]:
+        """The colored edges absent from the target."""
+        bits = self.target.bits
+        return {(u, v) for u, v in self.edge_color if not bits[u] >> v & 1}
 
     def remove_edge(self, e: tuple[int, int]) -> int:
         u, v = e
         color = self.unassign(u, v)
         if self.target.bits[u] >> v & 1:
             self.missing.add(e)
-        else:
-            self.extra.remove(e)
         return color
 
     def add_edge(self, e: tuple[int, int], color: int) -> None:
-        u, v = e
-        self.assign(u, v, color)
-        if self.target.bits[u] >> v & 1:
-            self.missing.discard(e)
-        else:
-            self.extra.add(e)
+        self.assign(*e, color)
+        self.missing.discard(e)
 
     def snapshot(self):
-        return (
-            dict(self.edge_color),
-            list(self.at),
-            set(self.extra),
-            set(self.missing),
-        )
+        return dict(self.edge_color), list(self.at), set(self.missing)
 
     def restore(self, snap) -> None:
-        edge_color, at, extra, missing = snap
+        edge_color, at, missing = snap
         self.edge_color = dict(edge_color)
         self.at = list(at)
-        self.extra = set(extra)
         self.missing = set(missing)
         self.stats["restores"] += 1
-
-
-def _missing(at: list[int], base: int, palette: int) -> list[int]:
-    """Colors missing at the vertex whose table row starts at ``base``, ascending."""
-    row = at[base:base + palette]
-    out = []
-    c = -1
-    for _ in range(row.count(-1)):
-        c = row.index(-1, c + 1)
-        out.append(c)
-    return out
 
 
 def _plan(state: ExchangeState, add: tuple[int, int]) -> tuple[int, int] | None:
@@ -184,8 +163,8 @@ def _plan(state: ExchangeState, add: tuple[int, int]) -> tuple[int, int] | None:
     """
     at, p = state.at, state.palette_size
     u, v = add
-    missing_u = _missing(at, u * p, p)
-    missing_v = _missing(at, v * p, p)
+    missing_u = state.missing_at(u)
+    missing_v = state.missing_at(v)
     shared = set(missing_u).intersection(missing_v)
     if shared:
         return min(shared), -1
@@ -227,9 +206,7 @@ def _attempt_exchange(state: ExchangeState, remove: tuple[int, int], add: tuple[
         return False
     state.remove_edge(remove)
     color, beta = plan
-    if beta < 0:
-        state.stats["direct"] += 1
-    else:
+    if beta >= 0:
         state.invert_path(add[1], color, beta)  # v misses beta
         state.stats["inversions"] += 1
     state.add_edge(add, color)
@@ -237,29 +214,16 @@ def _attempt_exchange(state: ExchangeState, remove: tuple[int, int], add: tuple[
     return True
 
 
-@dataclass
-class _Limits:
-    node_budget: int
-    nodes: int = 0
-    banned: set = field(default_factory=set)
-
-    def spend(self) -> bool:
-        self.nodes += 1
-        return self.nodes <= self.node_budget
-
-
-def _sacrifice_candidates(
-    state: ExchangeState, t: tuple[int, int], limits: _Limits
-) -> list[tuple[int, int]]:
+def _sacrifice_candidates(state: ExchangeState, t: tuple[int, int]) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
     seen = set()
-    p = state.palette_size
+    p, bits = state.palette_size, state.target.bits
     for w in t:
         for x in state.at[w * p:(w + 1) * p]:
-            if x < 0:
+            if x < 0 or not bits[w] >> x & 1:  # absent, or extra
                 continue
             e = (w, x) if w < x else (x, w)
-            if e == t or e in seen or e in state.extra or e in limits.banned:
+            if e == t or e in seen or e in state.banned:
                 continue
             seen.add(e)
             out.append(e)
@@ -272,57 +236,53 @@ def _relevant(state: ExchangeState, t: tuple[int, int]) -> list[tuple[int, int]]
     These are the extra edges at an endpoint of t and those whose color is
     missing at an endpoint; removing any other extra edge changes no walk.
     """
-    at, p, extra = state.at, state.palette_size, state.extra
+    at, p, bits = state.at, state.palette_size, state.target.bits
     out = set()
     for w in t:
-        base = w * p
-        for x in at[base:base + p]:
-            if x > w:
-                if (w, x) in extra:
-                    out.add((w, x))
-            elif x >= 0 and (x, w) in extra:
-                out.add((x, w))
-        for c in _missing(at, base, p):
+        for x in at[w * p:(w + 1) * p]:
+            if x >= 0 and not bits[w] >> x & 1:
+                out.add((w, x) if w < x else (x, w))
+        for c in state.missing_at(w):
             # the color class c as a partner list: vertex y is joined to x
             for y, x in enumerate(at[c::p]):
-                if x > y and (y, x) in extra:
+                if x > y and not bits[y] >> x & 1:
                     out.add((y, x))
     return sorted(out)
 
 
-def _try_add(state: ExchangeState, t: tuple[int, int], depth: int, limits: _Limits) -> bool:
+def _try_add(state: ExchangeState, t: tuple[int, int], depth: int) -> bool:
     """Bring target edge t into the working graph, sacrificing up to `depth` edges.
 
     Only the ``_relevant`` extra edges are tried, in sorted order. The drain
     keeps every color class a near-perfect matching, so t cannot be added
     with no removal, and by the lemma in the module docstring every other
-    extra edge fails.
+    extra edge fails. Every call counts against ``NODE_BUDGET``.
     """
     state.stats["chain_calls"] += 1
-    if not limits.spend():
+    if state.stats["chain_calls"] > NODE_BUDGET:
         return False
     for r in _relevant(state, t):
         if _attempt_exchange(state, r, t):
             return True
     if depth <= 0:
         return False
-    for r in _sacrifice_candidates(state, t, limits):
+    for r in _sacrifice_candidates(state, t):
         snap = state.snapshot()
         if not _attempt_exchange(state, r, t):
             continue
-        limits.banned.add(t)
-        ok = _try_add(state, r, depth - 1, limits)
-        limits.banned.discard(t)
+        state.banned.add(t)
+        ok = _try_add(state, r, depth - 1)
+        state.banned.discard(t)
         if ok:
             return True
         state.restore(snap)
     return False
 
 
-def _drain(state: ExchangeState, depth: int, limits: _Limits) -> bool:
+def _drain(state: ExchangeState, depth: int) -> bool:
     while state.missing:
         for t in sorted(state.missing):
-            if _try_add(state, t, depth, limits):
+            if _try_add(state, t, depth):
                 break
         else:
             return False
@@ -349,10 +309,10 @@ def exchange_coloring(target: Graph) -> EdgeColoring:
         )
 
     state = ExchangeState(target)
-    if not _drain(state, CHAIN_DEPTH, _Limits(NODE_BUDGET)):
+    if not _drain(state, CHAIN_DEPTH):
         raise ExchangeFailure(sorted(state.extra), sorted(state.missing), state.stats)
-    extra = state.extra
-    pairs = ((e, c) for e, c in state.edge_color.items() if e not in extra)
+    bits = target.bits
+    pairs = ((e, c) for e, c in state.edge_color.items() if bits[e[0]] >> e[1] & 1)
     return EdgeColoring(target, state.palette_size, pairs)
 
 

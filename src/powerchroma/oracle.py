@@ -17,7 +17,7 @@ edges.
 ``exact_chromatic_index`` only ever tests k = max_degree: by the
 Vizing-Gupta bound any graph needs either max_degree or max_degree + 1
 colors, and a (max_degree + 1)-witness always exists, produced here by the
-Misra-Gries fan-rotation construction.
+Misra-Gries fan-rotation construction, its fans read off the coloring's table.
 """
 
 from __future__ import annotations
@@ -176,28 +176,19 @@ def misra_gries_coloring(graph: Graph) -> EdgeColoring:
 
 
 def _mg_color_edge(coloring: EdgeColoring, u: int, v: int) -> None:
-    neighbors = [w for w in range(coloring.graph.n) if coloring.graph.bits[u] >> w & 1]
+    at, base = coloring.at, u * coloring.palette_size
     # maximal fan of u starting at v: each next edge's color is free at the
-    # previous fan vertex
+    # previous fan vertex; the least such neighbor comes next
     fan = [v]
-    in_fan = {v}
     while True:
-        free_last = coloring.missing_at(fan[-1])
-        nxt = None
-        for w in neighbors:
-            if w in in_fan:
-                continue
-            cw = coloring.color_of(u, w)
-            if cw is not None and cw in free_last:
-                nxt = w
-                break
-        if nxt is None:
+        free = coloring.missing_at(fan[-1])
+        ends = [w for c in free if (w := at[base + c]) >= 0 and w not in fan]
+        if not ends:
             break
-        fan.append(nxt)
-        in_fan.add(nxt)
+        fan.append(min(ends))
 
-    c = min(coloring.missing_at(u))
-    d = min(coloring.missing_at(fan[-1]))
+    c = coloring.missing_at(u)[0]
+    d = coloring.missing_at(fan[-1])[0]
     if d not in coloring.missing_at(u):
         # flip the maximal c/d path out of u so that d becomes free at u
         coloring.invert_path(u, d, c)  # u misses c

@@ -36,7 +36,7 @@ from powerchroma import (
     parse_coloring_csv,
     predict_class,
 )
-from powerchroma.exchange import _sacrifice_candidates
+from powerchroma import exchange
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -314,12 +314,11 @@ def reference_attempt_exchange(state, remove, add) -> bool:
     state.stats["attempts"] += 1
     x = state.remove_edge(remove)
     u, v = add
-    missing_u = state.missing_at(u)
-    missing_v = state.missing_at(v)
+    missing_u = set(state.missing_at(u))
+    missing_v = set(state.missing_at(v))
     shared = missing_u & missing_v
     if shared:
         state.add_edge(add, min(shared))
-        state.stats["direct"] += 1
         state.stats["exchanges"] += 1
         return True
     for alpha in sorted(missing_u):
@@ -342,7 +341,7 @@ def reference_attempt_exchange(state, remove, add) -> bool:
     return False
 
 
-def reference_try_add(state, t, depth, limits) -> bool:
+def reference_try_add(state, t, depth) -> bool:
     """The drain step with every extra edge walked in sorted order; no skipping.
 
     ``stats["unsettled"]`` tallies the attempts the skip lemma cannot settle,
@@ -351,38 +350,102 @@ def reference_try_add(state, t, depth, limits) -> bool:
     """
     stats = state.stats
     stats["chain_calls"] += 1
-    if not limits.spend():
+    if stats["chain_calls"] > exchange.NODE_BUDGET:
         return False
     u, v = t
     for r in sorted(state.extra):
-        if u in r or v in r or state.edge_color[r] in state.missing_at(u) | state.missing_at(v):
+        missed = state.missing_at(u) + state.missing_at(v)
+        if u in r or v in r or state.edge_color[r] in missed:
             stats["unsettled"] += 1
         if reference_attempt_exchange(state, r, t):
             return True
     if depth <= 0:
         return False
-    for r in _sacrifice_candidates(state, t, limits):
+    for r in exchange._sacrifice_candidates(state, t):
         stats["unsettled"] += 1
         snap = state.snapshot()
         if not reference_attempt_exchange(state, r, t):
             continue
-        limits.banned.add(t)
-        ok = reference_try_add(state, r, depth - 1, limits)
-        limits.banned.discard(t)
+        state.banned.add(t)
+        ok = reference_try_add(state, r, depth - 1)
+        state.banned.discard(t)
         if ok:
             return True
         state.restore(snap)
     return False
 
 
-def reference_drain(state, depth, limits) -> bool:
+def reference_drain(state, depth) -> bool:
     """``exchange._drain`` over ``reference_try_add``."""
     state.stats["unsettled"] = 0
     while state.missing:
         for t in sorted(state.missing):
-            if reference_try_add(state, t, depth, limits):
+            if reference_try_add(state, t, depth):
                 break
         else:
+            return False
+    return True
+
+
+def reference_misra_gries(graph: Graph) -> EdgeColoring:
+    """``misra_gries_coloring`` as first written: each fan step scans every neighbor of u."""
+    delta = max_degree(graph)
+    coloring = EdgeColoring(graph, delta + 1 if graph.edge_count else 0)
+    for u, v in graph.edges():
+        _reference_mg_color_edge(coloring, u, v)
+    return coloring
+
+
+def _reference_mg_color_edge(coloring: EdgeColoring, u: int, v: int) -> None:
+    neighbors = [w for w in range(coloring.graph.n) if coloring.graph.bits[u] >> w & 1]
+    # maximal fan of u starting at v: each next edge's color is free at the
+    # previous fan vertex
+    fan = [v]
+    in_fan = {v}
+    while True:
+        free_last = coloring.missing_at(fan[-1])
+        nxt = None
+        for w in neighbors:
+            if w in in_fan:
+                continue
+            cw = coloring.color_of(u, w)
+            if cw is not None and cw in free_last:
+                nxt = w
+                break
+        if nxt is None:
+            break
+        fan.append(nxt)
+        in_fan.add(nxt)
+
+    c = min(coloring.missing_at(u))
+    d = min(coloring.missing_at(fan[-1]))
+    if d not in coloring.missing_at(u):
+        # flip the maximal c/d path out of u so that d becomes free at u
+        coloring.invert_path(u, d, c)  # u misses c
+
+    # rotate the shortest fan prefix ending at a vertex where d is now free
+    # and whose fan property survived the inversion
+    w_index = None
+    for i, w in enumerate(fan):
+        if d not in coloring.missing_at(w):
+            continue
+        if _reference_is_fan(coloring, u, fan[: i + 1]):
+            w_index = i
+            break
+    assert w_index is not None, "fan rotation target must exist"
+    prefix = fan[: w_index + 1]
+    shifted = [coloring.color_of(u, x) for x in prefix[1:]]
+    for x in prefix[1:]:
+        coloring.unassign(u, x)
+    for x, color in zip(prefix, shifted):
+        coloring.assign(u, x, color)
+    coloring.assign(u, prefix[-1], d)
+
+
+def _reference_is_fan(coloring: EdgeColoring, u: int, fan: list[int]) -> bool:
+    for prev, cur in zip(fan, fan[1:]):
+        color = coloring.color_of(u, cur)
+        if color is None or color not in coloring.missing_at(prev):
             return False
     return True
 

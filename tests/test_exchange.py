@@ -29,13 +29,13 @@ from powerchroma import (
 )
 from powerchroma.coloring import _rotation_pairs, _round_robin_pairs
 from powerchroma.exchange import (
-    _Limits,
     _attempt_exchange,
     _color_exact,
     _drain,
     _labelled,
     _plan,
     _relevant,
+    _sacrifice_candidates,
     _try_add,
 )
 from powerchroma.overfull import predict_class
@@ -61,6 +61,7 @@ def check_state(state: ExchangeState) -> None:
     target = set(state.target.edges())
     assert state.extra == colored - target
     assert state.missing == target - colored
+    assert not state.banned  # a sacrifice chain lifts its ban as it returns
 
 
 def random_matching_target(rng: random.Random, n: int) -> Graph:
@@ -87,7 +88,7 @@ def assert_drains_alike(target: Graph) -> None:
     the reference tallies as ``unsettled``; every other counter is equal.
     """
     fast, slow = ExchangeState(target), ExchangeState(target)
-    assert _drain(fast, 3, _Limits(200_000)) == reference_drain(slow, 3, _Limits(200_000))
+    assert _drain(fast, 3) == reference_drain(slow, 3)
     assert fast.edge_color == slow.edge_color
     assert fast.extra == slow.extra and fast.missing == slow.missing
     expected = dict(slow.stats, attempts=slow.stats["unsettled"])
@@ -146,7 +147,7 @@ class TestExchangeEdge:
         before = dict(state.stats)
         assert _attempt_exchange(state, (0, 5), (5, 10))
         assert state.edge_color[make_edge(5, 10)] == 9
-        assert state.stats["direct"] == before["direct"] + 1
+        assert state.stats["exchanges"] == before["exchanges"] + 1
         assert state.stats["inversions"] == before["inversions"]
         check_state(state)
 
@@ -158,8 +159,7 @@ class TestExchangeEdge:
         assert not _attempt_exchange(state, (3, 5), (1, 14))
         assert state.edge_color == snap[0]
         assert state.at == snap[1]
-        assert state.extra == snap[2]
-        assert state.missing == snap[3]
+        assert state.missing == snap[2]
 
     def test_steps_preserve_properness_and_count(self, rng):
         steps = 0
@@ -181,6 +181,22 @@ class TestExchangeEdge:
         assert steps >= 100
 
 
+class TestSacrificeCandidates:
+    def test_the_unbanned_colored_target_edges_at_t(self, rng):
+        targets = [build_power_graph(construct_group("cyclic:15"))]
+        targets += [random_matching_target(rng, n) for n in (7, 9, 11) for _ in range(3)]
+        for target in targets:
+            state = ExchangeState(target)
+            edges = set(target.edges())
+            for t in sorted(state.missing):
+                at_t = {e for e in state.edge_color if e in edges and set(e) & set(t)}
+                found = _sacrifice_candidates(state, t)
+                assert len(found) == len(set(found)) and set(found) == at_t
+                state.banned.add(min(at_t))
+                assert set(_sacrifice_candidates(state, t)) == at_t - {min(at_t)}
+                state.banned.clear()
+
+
 class TestSkipLemma:
     """The drain settles attempts whose extra edge cannot change any walk without walking them."""
 
@@ -199,7 +215,6 @@ class TestSkipLemma:
         checked = 0
         for target in targets:
             state = ExchangeState(target)
-            limits = _Limits(200_000)
             while state.missing:
                 for t in sorted(state.missing):
                     # every color class is a near-perfect matching: no removal, no way in
@@ -212,10 +227,9 @@ class TestSkipLemma:
                             assert not attempt(state, r, t)
                             assert state.edge_color == snap[0]
                             assert state.at == snap[1]
-                            assert state.extra == snap[2]
-                            assert state.missing == snap[3]
+                            assert state.missing == snap[2]
                             checked += 1
-                if not any(_try_add(state, t, 3, limits) for t in sorted(state.missing)):
+                if not any(_try_add(state, t, 3) for t in sorted(state.missing)):
                     break
                 check_state(state)
         assert checked >= 1000
@@ -268,6 +282,52 @@ class TestExchangeColoring:
         first = exchange_coloring(graph)
         second = exchange_coloring(graph)
         assert first.edge_color == second.edge_color
+
+    @pytest.mark.parametrize("spec", ["cyclic:15", "cyclic:21"])
+    @pytest.mark.parametrize("budget", [0, 1, 4, 7])
+    def test_the_budget_counts_chain_calls(self, monkeypatch, spec, budget):
+        import powerchroma.exchange as exchange_module
+
+        # attempts before and after each _try_add call; after each one within the budget
+        calls, within, searched, states = [], [], [], []
+        try_add, relevant, drain = (
+            exchange_module._try_add, exchange_module._relevant, exchange_module._drain
+        )
+
+        def counted_try_add(state, t, depth):
+            index, before = len(calls), state.stats["attempts"]
+            calls.append(None)
+            ok = try_add(state, t, depth)
+            calls[index] = (before, state.stats["attempts"])
+            if index < budget:
+                within.append(state.stats["attempts"])
+            return ok
+
+        def counted_relevant(state, t):
+            searched.append(t)
+            return relevant(state, t)
+
+        def kept_drain(state, depth):
+            states.append(state)
+            return drain(state, depth)
+
+        monkeypatch.setattr(exchange_module, "NODE_BUDGET", budget)
+        monkeypatch.setattr(exchange_module, "_try_add", counted_try_add)
+        monkeypatch.setattr(exchange_module, "_relevant", counted_relevant)
+        monkeypatch.setattr(exchange_module, "_drain", kept_drain)
+        graph = build_power_graph(construct_group(spec))
+        with pytest.raises(ExchangeFailure) as err:
+            exchange_coloring(graph)
+        failure, (state,) = err.value, states
+        # every call is counted, and only the first ``budget`` of them search
+        assert failure.stats["chain_calls"] == len(calls) > budget
+        assert len(searched) == budget
+        # a call past the budget makes no attempt, and none is made once those within it return
+        assert all(before == after for before, after in calls[budget:])
+        assert failure.stats["attempts"] == (within[-1] if budget else 0)
+        colored, edges = set(state.edge_color), set(graph.edges())
+        assert failure.remaining_extra == tuple(sorted(colored - edges))
+        assert failure.remaining_missing == tuple(sorted(edges - colored))
 
     def test_exhausted_ladder_reports_diagnostics(self, monkeypatch):
         import powerchroma.exchange as exchange_module

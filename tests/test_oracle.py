@@ -1,6 +1,8 @@
 """Exhaustive edge-coloring oracle and the fan-rotation fallback."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerchroma import (
     DEFAULT_NODE_BUDGET,
@@ -20,6 +22,7 @@ from conftest import (
     random_bipartite,
     random_graph,
     reference_is_k_edge_colorable,
+    reference_misra_gries,
     small_catalog_oracle,
 )
 
@@ -203,3 +206,30 @@ class TestMisraGries:
             graph = build_power_graph(construct_group(spec))
             coloring = misra_gries_coloring(graph)
             assert verify_proper(graph, coloring).valid
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on up to 12 vertices, each pair an edge with even odds."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+def assert_same_misra_gries(graph: Graph) -> None:
+    coloring, expected = misra_gries_coloring(graph), reference_misra_gries(graph)
+    assert list(coloring.items()) == list(expected.items())
+    assert coloring.at == expected.at
+
+
+class TestMisraGriesAgainstReference:
+    """The fan read off the table picks the vertex the neighbor scan picks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_random_graphs(self, graph):
+        assert_same_misra_gries(graph)
+
+    def test_cyclic_25(self):
+        assert_same_misra_gries(build_power_graph(construct_group("cyclic:25")))
