@@ -2,15 +2,17 @@
 
 An edge is a plain ``(u, v)`` tuple with u < v, the key of every mapping
 here. Colors are 0-based internally and 1-based in every export, matching the
-usual table presentation. Every coloring is built by one checked fill: the
-``EdgeColoring`` constructor colors its ``pairs`` in order, and ``assign`` is
-that loop over one pair. The two base constructions are closed-form rules on
-an edge (u, v) with u < v:
+usual table presentation. A coloring given as pairs is built by one checked
+fill: the ``EdgeColoring`` constructor colors its ``pairs`` in order, and
+``assign`` is that loop over one pair. The two base constructions are
+closed-form rules on an edge (u, v) with u < v, and ``_closed_form`` writes
+either in one pass over the graph's bitmask rows (``_fill_rows``):
 
 * round robin (n even, n-1 colors): color u when v = n-1, otherwise
   (u+v)*(n/2) mod (n-1). ``round_robin_coloring(n)`` is the 1-factorization
   of K_n by the circle method (fix vertex n-1, rotate the rest).
-* rotation (n odd): class index ((u+v)*(n+1)/2 - 1) mod n.
+* rotation (n odd, n colors): class index ((u+v)*(n+1)/2 - 1) mod n, which
+  ``_rotation_by_sum`` lists by u + v.
   ``rotation_classes(n)`` lists the n near-perfect matching classes
   S_p = {(p-q, p+q) mod n : q = 1..(n-1)/2} on labels 1..n; class p misses
   exactly the vertex labeled p. ``base_rotation_coloring(n)`` colors K_n with
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .groups import _ASCII_SPACE, _decimal
-from .powergraph import Graph, _json_array, complete_graph, make_edge
+from .powergraph import Graph, _json_array, _row, complete_graph, make_edge
 
 __all__ = [
     "ColorConflict",
@@ -109,11 +111,39 @@ class EdgeColoring:
             at[iu] = v
             at[iv] = u
 
+    def _fill_rows(self, by_sum: list[int], last: int) -> None:
+        """Color every edge (u, v) of the graph: u when v = ``last``, else ``by_sum[u + v]``.
+
+        One pass over the bitmask rows writes the keys in sorted order, as
+        ``graph.edges()`` lists them. Each key is an edge of the graph, met
+        once, and the rules reduce each color modulo the palette, so of
+        ``_fill``'s checks only the clash test is left, with its message.
+        """
+        p = self.palette_size
+        edge_color, at = self.edge_color, self.at
+        for u, m in enumerate(self.graph.bits):
+            up = u * p
+            for v in _row(m, u + 1):
+                color = u if v == last else by_sum[u + v]
+                iu, iv = up + color, v * p + color
+                if at[iu] >= 0 or at[iv] >= 0:
+                    x = u if at[iu] >= 0 else v
+                    raise ColoringError(
+                        f"color {color} already present at vertex {x} "
+                        f"on edge {make_edge(x, at[x * p + color])}"
+                    )
+                edge_color[(u, v)] = color
+                at[iu] = v
+                at[iv] = u
+
     def color_of(self, a: int, b: int) -> int | None:
         return self.edge_color.get(make_edge(a, b))
 
     def missing_at(self, v: int) -> list[int]:
         """The colors v misses, ascending."""
+        # the range test keeps a negative v from reading another vertex's row
+        if not 0 <= v < self.graph.n:
+            raise ColoringError(f"vertex {v} is out of range 0..{self.graph.n - 1}")
         p = self.palette_size
         row = self.at[v * p:(v + 1) * p]
         out = []
@@ -346,37 +376,40 @@ def verify_proper(graph: Graph, coloring: EdgeColoring) -> VerificationReport:
 # constructions
 
 
-def _round_robin_pairs(graph: Graph):
-    """Each edge (u, v) of ``graph`` (n even) with its color in the round robin of K_n.
+def _rotation_by_sum(n: int) -> list[int]:
+    """The rotation class index of each pair (u, v) of K_n (n odd), listed by s = u + v.
 
-    The color is u when v = n-1, and otherwise (u+v)*(n/2) mod (n-1): color r
-    holds (n-1, r) and the pairs (r+i, r-i) mod (n-1), which sum to 2r, and
-    n/2 halves modulo the odd n-1.
-    """
-    n = graph.n
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"round robin needs an even n >= 2, got {n}")
-    half, last = n // 2, n - 1
-    return ((e, e[0] if e[1] == last else (e[0] + e[1]) * half % last) for e in graph.edges())
-
-
-def _rotation_pairs(graph: Graph):
-    """Each edge (u, v) of ``graph`` (n odd) with its class index in the rotation scheme of K_n.
-
-    The index is ((u+v)*(n+1)/2 - 1) mod n: class p-1 holds the pairs
+    The index is (s*(n+1)/2 - 1) mod n: class p-1 holds the pairs
     (p-q, p+q) mod n, which sum to 2p, and (n+1)/2 halves modulo the odd n.
     """
-    n = graph.n
     half = (n + 1) // 2
-    return ((e, ((e[0] + e[1]) * half - 1) % n) for e in graph.edges())
+    return [(s * half - 1) % n for s in range(2 * n - 1)]
+
+
+def _closed_form(graph: Graph) -> EdgeColoring:
+    """``graph`` colored by the round robin of K_n (n even) or its rotation scheme (n odd).
+
+    The round robin colors (u, v) with u when v = n-1, and otherwise with
+    (u+v)*(n/2) mod (n-1): color r holds (n-1, r) and the pairs (r+i, r-i)
+    mod (n-1), which sum to 2r, and n/2 halves modulo the odd n-1. The
+    rotation scheme colors it with its class index on n colors.
+    """
+    n = graph.n
+    if n % 2:
+        coloring = EdgeColoring(graph, n)
+        coloring._fill_rows(_rotation_by_sum(n), n)  # no vertex is n
+        return coloring
+    half, last = n // 2, n - 1
+    coloring = EdgeColoring(graph, last)
+    coloring._fill_rows([s * half % last for s in range(2 * n - 1)], last)
+    return coloring
 
 
 def round_robin_coloring(n: int) -> EdgeColoring:
     """Total proper coloring of K_n (n even) with n-1 colors, each a perfect matching."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"round robin needs an even n >= 2, got {n}")
-    graph = complete_graph(n)
-    return EdgeColoring(graph, n - 1, _round_robin_pairs(graph))
+    return _closed_form(complete_graph(n))
 
 
 def rotation_classes(n: int) -> list[list[tuple[int, int]]]:
@@ -389,7 +422,7 @@ def rotation_classes(n: int) -> list[list[tuple[int, int]]]:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"rotation classes need an odd n >= 3, got {n}")
     classes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, index in _rotation_pairs(complete_graph(n)):
+    for e, index in _closed_form(complete_graph(n)).items():
         classes[index].append(e)
     return classes
 

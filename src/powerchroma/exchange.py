@@ -44,9 +44,10 @@ the path from v ends at u, the path from u ends at v and fails too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import oracle
-from .coloring import EdgeColoring, _round_robin_pairs, _rotation_pairs
+from .coloring import EdgeColoring, _closed_form, _rotation_by_sum
 from .groups import Group
 from .overfull import OverfullReport, deficiency_report, is_overfull
 from .powergraph import Graph, build_power_graph, complete_graph, max_degree
@@ -86,11 +87,19 @@ class ExchangeState(EdgeColoring):
     ``extra`` (colored edges absent from the target) is read off the table.
     Exchanges keep the coloring proper; |extra| - |missing| is invariant.
 
-    The state starts from the rotation base (``_rotation_pairs`` of K_n less
+    The state starts from the rotation base (the rotation scheme of K_n less
     the class n-1): color c joins u to (2c + 2 - u) mod n and misses vertex
     c + 1, and the class left out is the pairs with u + v = n. The base is
-    written straight into the table with no per-edge checks; the finished
-    coloring is refilled through the checked fill, and its callers verify it.
+    written straight into the table with no per-edge checks: each row of
+    ``edge_color`` is a slice of the colors listed by u + v
+    (``_rotation_by_sum``), less the one pair of the class left out.
+
+    The finished coloring is the state's own table with the extra edges
+    lifted out; it is not refilled through the checked fill. Every write
+    the drain makes goes through ``assign``'s checked fill or
+    ``invert_path``, a test pins the base against the checked construction,
+    and every caller that reports a witness verifies it independently with
+    ``verify_assignment``.
     """
 
     __slots__ = ("target", "missing", "banned", "stats")
@@ -112,13 +121,15 @@ class ExchangeState(EdgeColoring):
         for u in range(1, n):
             at[u * p + u - 1] = -1  # color u - 1 misses u
         self.at = at
-        # sorted, as a fill of ``_rotation_pairs`` would leave it
-        self.edge_color = {
-            (u, v): c
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (c := ((u + v) * half - 1) % n) < p
-        }
+        # sorted, as a row fill of the rotation scheme would leave it; pair
+        # (u, v) takes the entry for u + v, and the pair with u + v = n is left out
+        by_sum = _rotation_by_sum(n)
+        edge_color = {}
+        for u in range(n):
+            edge_color.update(zip(zip(repeat(u), range(u + 1, n)), by_sum[2 * u + 1:u + n]))
+            if 0 < u < n - u:
+                del edge_color[(u, n - u)]
+        self.edge_color = edge_color
         self.target = target
         # the base colors every pair but those with u + v = n
         self.missing = {(u, n - u) for u in range(1, half) if target.bits[u] >> (n - u) & 1}
@@ -187,23 +198,30 @@ def _plan(state: ExchangeState, add: tuple[int, int]) -> tuple[int, int] | None:
     return None
 
 
-def _attempt_exchange(state: ExchangeState, remove: tuple[int, int], add: tuple[int, int]) -> bool:
+def _attempt_exchange(
+    state: ExchangeState, remove: tuple[int, int], add: tuple[int, int], undo: list | None = None
+) -> bool:
     """Trade one colored edge for one absent edge; at most one Kempe inversion.
 
     On success the state is updated; on failure it is left exactly as found.
+    The trade is planned before anything is written, so when ``undo`` is a
+    list, a snapshot of the state as found is appended to it only once there
+    is a trade to undo.
     """
     state.stats["attempts"] += 1
     at, p = state.at, state.palette_size
     x = state.edge_color[remove]
     a, b = remove
-    # plan with ``remove`` lifted out of the table; put it back when there is no plan
+    # plan with ``remove`` lifted out of the table, then put it back
     at[a * p + x] = -1
     at[b * p + x] = -1
     plan = _plan(state, add)
+    at[a * p + x] = b
+    at[b * p + x] = a
     if plan is None:
-        at[a * p + x] = b
-        at[b * p + x] = a
         return False
+    if undo is not None:
+        undo.append(state.snapshot())
     state.remove_edge(remove)
     color, beta = plan
     if beta >= 0:
@@ -266,16 +284,16 @@ def _try_add(state: ExchangeState, t: tuple[int, int], depth: int) -> bool:
             return True
     if depth <= 0:
         return False
+    undo: list = []
     for r in _sacrifice_candidates(state, t):
-        snap = state.snapshot()
-        if not _attempt_exchange(state, r, t):
+        if not _attempt_exchange(state, r, t, undo):
             continue
         state.banned.add(t)
         ok = _try_add(state, r, depth - 1)
         state.banned.discard(t)
         if ok:
             return True
-        state.restore(snap)
+        state.restore(undo.pop())
     return False
 
 
@@ -311,9 +329,17 @@ def exchange_coloring(target: Graph) -> EdgeColoring:
     state = ExchangeState(target)
     if not _drain(state, CHAIN_DEPTH):
         raise ExchangeFailure(sorted(state.extra), sorted(state.missing), state.stats)
-    bits = target.bits
-    pairs = ((e, c) for e, c in state.edge_color.items() if bits[e[0]] >> e[1] & 1)
-    return EdgeColoring(target, state.palette_size, pairs)
+    # the state's own table over the target, with each extra edge unassigned in
+    # place; see ``ExchangeState``
+    bits, p = target.bits, state.palette_size
+    edge_color, at = state.edge_color, state.at
+    for e in [e for e in edge_color if not bits[e[0]] >> e[1] & 1]:
+        color = edge_color.pop(e)
+        at[e[0] * p + color] = at[e[1] * p + color] = -1
+    coloring = EdgeColoring.__new__(EdgeColoring)
+    coloring.graph, coloring.palette_size = target, p
+    coloring.edge_color, coloring.at = edge_color, at
+    return coloring
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +393,9 @@ def color_graph(graph: Graph) -> GroupColoring:
     if max_degree(graph) < n - 1:  # round robin, rotation and exchange need one
         return _color_exact(graph)
     if n % 2 == 0:
-        return _labelled(EdgeColoring(graph, n - 1, _round_robin_pairs(graph)), "roundrobin")
+        return _labelled(_closed_form(graph), "roundrobin")
     if is_overfull(graph):
-        return _labelled(EdgeColoring(graph, n, _rotation_pairs(graph)), "sp")
+        return _labelled(_closed_form(graph), "sp")
     try:
         return _labelled(exchange_coloring(graph), "rhee")
     except ExchangeFailure as failure:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -9,6 +10,8 @@ import itertools
 import json
 import math
 import random
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -630,6 +633,59 @@ def reference_round_robin(n: int) -> EdgeColoring:
     return coloring
 
 
+def reference_round_robin_pairs(graph: Graph):
+    """Each edge (u, v) of ``graph`` (n even) with its color in the round robin of K_n.
+
+    The color is u when v = n-1, and otherwise (u+v)*(n/2) mod (n-1): color r
+    holds (n-1, r) and the pairs (r+i, r-i) mod (n-1), which sum to 2r, and
+    n/2 halves modulo the odd n-1.
+    """
+    n = graph.n
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"round robin needs an even n >= 2, got {n}")
+    half, last = n // 2, n - 1
+    return ((e, e[0] if e[1] == last else (e[0] + e[1]) * half % last) for e in graph.edges())
+
+
+def reference_rotation_pairs(graph: Graph):
+    """Each edge (u, v) of ``graph`` (n odd) with its class index in the rotation scheme of K_n.
+
+    The index is ((u+v)*(n+1)/2 - 1) mod n: class p-1 holds the pairs
+    (p-q, p+q) mod n, which sum to 2p, and (n+1)/2 halves modulo the odd n.
+    """
+    n = graph.n
+    half = (n + 1) // 2
+    return ((e, ((e[0] + e[1]) * half - 1) % n) for e in graph.edges())
+
+
+def reference_closed_form(graph: Graph) -> EdgeColoring:
+    """``color_graph``'s round robin or rotation as first written: pairs through the checked fill."""
+    n = graph.n
+    if n % 2 == 0:
+        return EdgeColoring(graph, n - 1, reference_round_robin_pairs(graph))
+    return EdgeColoring(graph, n, reference_rotation_pairs(graph))
+
+
+def reference_base_edge_color(n: int) -> dict:
+    """``ExchangeState``'s base mapping of K_n (n odd) as first written, one pair at a time."""
+    p = n - 1
+    half = (n + 1) // 2
+    # sorted, as a fill of ``reference_rotation_pairs`` would leave it
+    return {
+        (u, v): c
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (c := ((u + v) * half - 1) % n) < p
+    }
+
+
+def reference_finish(state, target: Graph) -> EdgeColoring:
+    """``exchange_coloring``'s finish as first written: the target's edges, refilled checked."""
+    bits = target.bits
+    pairs = ((e, c) for e, c in state.edge_color.items() if bits[e[0]] >> e[1] & 1)
+    return EdgeColoring(target, state.palette_size, pairs)
+
+
 def reference_rotation_classes(n: int) -> list:
     """The rotation classes of K_n (n odd) as first written: class p-1 from (p-q, p+q) mod n."""
     classes = []
@@ -839,3 +895,47 @@ def random_bipartite(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+# ---------------------------------------------------------------------------
+# a time limit for every test, so that a loop that never ends fails its test
+
+TEST_SECONDS = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a block that runs past its ``time_limit``.
+
+    A BaseException, so that no ``except Exception`` or ``except OSError`` in
+    the code under test can swallow it.
+    """
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise ``TimeLimitExceeded`` in the block once it has run ``seconds`` of wall time.
+
+    Uses SIGALRM and the real-time interval timer; on exit it restores the
+    outer handler and re-arms any outer timer with the time it has left.
+    """
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"time limit of {seconds} s exceeded")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    outer, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if outer:  # an outer deadline already past fires at once
+            left = max(outer - (time.monotonic() - start), 1e-6)
+            signal.setitimer(signal.ITIMER_REAL, left, interval)
+
+
+@pytest.fixture(autouse=True)
+def _test_time_limit():
+    with time_limit(TEST_SECONDS):
+        yield

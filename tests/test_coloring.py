@@ -10,6 +10,7 @@ from powerchroma import (
     Graph,
     base_rotation_coloring,
     build_power_graph,
+    color_graph,
     coloring_to_csv,
     coloring_to_json,
     complete_graph,
@@ -24,13 +25,15 @@ from powerchroma import (
     verify_assignment,
     verify_proper,
 )
-from powerchroma.coloring import _rotation_pairs, _round_robin_pairs
+from powerchroma.coloring import _closed_form
 from conftest import (
     c15_reference_coloring,
+    catalog_groups_to_120,
     kempe_flip,
     neighbor_at,
     random_graph,
     reference_assign,
+    reference_closed_form,
     reference_rotation_classes,
     reference_round_robin,
     swap_path_colors,
@@ -115,6 +118,15 @@ class TestVerify:
         with pytest.raises(ColoringError):
             coloring.unassign(1, 2)
 
+    def test_missing_at_refuses_a_vertex_out_of_range(self):
+        coloring = color_graph(build_power_graph(construct_group("cyclic:6"))).coloring
+        assert coloring.missing_at(4) == [1] and coloring.missing_at(5) == []
+        for v in (-2, -1, 6, 7):
+            with pytest.raises(ColoringError, match=f"vertex {v} is out of range 0..5"):
+                coloring.missing_at(v)
+        with pytest.raises(ColoringError, match="vertex 0 is out of range"):
+            EdgeColoring(Graph(0, []), 0).missing_at(0)
+
 
 @st.composite
 def fills(draw):
@@ -165,11 +177,21 @@ class TestFill:
         assert fill_outcome(lambda: one_by_one(EdgeColoring.assign)) == expected
 
 
+def same_table(coloring: EdgeColoring, reference: EdgeColoring) -> bool:
+    """The same graph, palette, ``items()`` order and ``at`` table."""
+    return (
+        coloring.graph is reference.graph
+        and coloring.palette_size == reference.palette_size
+        and list(coloring.items()) == list(reference.items())
+        and coloring.at == reference.at
+    )
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("n", list(range(2, 65, 2)) + [120])
     def test_round_robin_rule_matches_the_circle_method(self, n):
         reference = reference_round_robin(n)
-        assert dict(_round_robin_pairs(complete_graph(n))) == reference.edge_color
+        assert _closed_form(complete_graph(n)).edge_color == reference.edge_color
         coloring = round_robin_coloring(n)
         assert coloring.edge_color == reference.edge_color and coloring.at == reference.at
 
@@ -177,11 +199,49 @@ class TestClosedForms:
     def test_rotation_rule_matches_the_class_loop(self, n):
         reference = reference_rotation_classes(n)
         index = {e: i for i, cls in enumerate(reference) for e in cls}
-        assert dict(_rotation_pairs(complete_graph(n))) == index
+        assert _closed_form(complete_graph(n)).edge_color == index
         assert rotation_classes(n) == reference
         base, matching = base_rotation_coloring(n)
         assert base.edge_color == {e: i for e, i in index.items() if i < n - 1}
         assert matching == tuple(reference[-1])
+
+
+class TestRowFill:
+    def test_matches_the_pair_fill_on_the_catalog(self):
+        # every catalog graph that color_graph gives the round robin or the rotation
+        taken = 0
+        for group in catalog_groups_to_120():
+            graph = build_power_graph(group)
+            result = color_graph(graph)
+            if result.strategy not in ("roundrobin", "sp"):
+                continue
+            taken += 1
+            reference = reference_closed_form(graph)
+            assert same_table(result.coloring, reference), group.spec
+            assert same_table(_closed_form(graph), reference), group.spec
+        assert taken > 200
+
+    @pytest.mark.parametrize("n", range(2, 42))
+    def test_matches_the_pair_fill_on_complete_graphs(self, n):
+        graph = complete_graph(n)
+        assert same_table(_closed_form(graph), reference_closed_form(graph))
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 5, 9, 15])
+    @pytest.mark.parametrize("power", [False, True])
+    def test_a_wrong_rule_raises_the_fill_clash(self, n, power):
+        graph = build_power_graph(construct_group(f"cyclic:{n}")) if power else complete_graph(n)
+        if n % 2:  # modulo n-1 for n: sums that differ by n-1 share a class
+            palette, last = n, n
+            by_sum = [((s * (n + 1) // 2) - 1) % (n - 1) for s in range(2 * n - 1)]
+        else:  # half + 1 for half: (r, n-1) and the pairs summing to 2r part ways
+            palette, last = n - 1, n - 1
+            by_sum = [s * (n // 2 + 1) % (n - 1) for s in range(2 * n - 1)]
+        pairs = [((u, v), u if v == last else by_sum[u + v]) for u, v in graph.edges()]
+        with pytest.raises(ColoringError, match="already present at vertex") as checked:
+            EdgeColoring(graph, palette, pairs)
+        with pytest.raises(ColoringError) as err:
+            EdgeColoring(graph, palette)._fill_rows(by_sum, last)
+        assert str(err.value) == str(checked.value)
 
 
 class TestRoundRobin:

@@ -1,4 +1,8 @@
-"""The reference tables under ``tests/data`` and the sample order-21 group."""
+"""The reference tables under ``tests/data``, the sample order-21 group and the per-test time limit."""
+
+import signal
+
+import pytest
 
 from powerchroma import (
     EdgeColoring,
@@ -16,6 +20,8 @@ from powerchroma import (
 )
 from powerchroma.exchange import _attempt_exchange
 from conftest import (
+    TEST_SECONDS,
+    TimeLimitExceeded,
     c15_reference_coloring,
     c15_reference_csv,
     k15_base_csv,
@@ -23,7 +29,25 @@ from conftest import (
     k15_exchanged_csv,
     k15_exchanged_table,
     nonabelian21_group,
+    time_limit,
 )
+
+
+class TestTimeLimit:
+    def test_a_loop_without_end_is_stopped(self):
+        with pytest.raises(TimeLimitExceeded, match="time limit of 0.2 s exceeded"):
+            with time_limit(0.2):
+                while True:
+                    pass
+
+    def test_the_outer_limit_is_restored(self):
+        # every test runs under the suite's own limit, which a nested one must re-arm
+        handler = signal.getsignal(signal.SIGALRM)
+        with time_limit(5):
+            assert 4 < signal.getitimer(signal.ITIMER_REAL)[0] <= 5
+        left, _ = signal.getitimer(signal.ITIMER_REAL)
+        assert 0 < left <= TEST_SECONDS
+        assert signal.getsignal(signal.SIGALRM) is handler
 
 
 class TestReferenceColoring:
