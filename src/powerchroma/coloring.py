@@ -21,6 +21,11 @@ either in one pass over the graph's bitmask rows (``_fill_rows``):
 ``verify_assignment`` reads only the mapping and the graph's bitmasks. A
 valid witness passes one unsorted pass over the mapping; anything that pass
 cannot accept gets the full sorted pass, which reports every fault.
+
+The table and JSON I/O converts each integer once per call: the writers read
+every vertex from a list of decimal strings (and the JSON writer every color
+from a dict over the colors present), and the table reader keeps a memo from
+each label text to its vertex, filled once both labels of a cell pass.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import itemgetter
 
 from .groups import _ASCII_SPACE, _decimal
@@ -446,28 +452,31 @@ def restrict_coloring(coloring: EdgeColoring, graph: Graph) -> EdgeColoring:
 # table and JSON IO
 
 # re.ASCII: \s is ASCII whitespace only, the set the cells are stripped of
-_EDGE_CELL = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$", re.ASCII)
+_EDGE_CELL = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)", re.ASCII)
 
 
 def coloring_to_csv(coloring: EdgeColoring) -> str:
     """Table layout: header of 1-based colors, columns of "(u, v)" cells in 1..n labels."""
     n = coloring.graph.n
+    dec = [str(v) for v in range(n + 1)]  # each label's text, made once
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(coloring.palette_size)]
-    for (u, v), c in coloring.items():
+    for k, c in coloring.items():
         # u < v, and the identity 0 is displayed as n, the largest label
-        pairs[c].append((v, n) if u == 0 else (u, v))
-    columns = [[f"({u}, {v})" for u, v in sorted(col)] for col in pairs]
-    height = max((len(col) for col in columns), default=0)
+        pairs[c].append((k[1], n) if k[0] == 0 else k)
+    columns = [[f"({dec[u]}, {dec[v]})" for u, v in sorted(col)] for col in pairs]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([str(c + 1) for c in range(coloring.palette_size)])
-    for r in range(height):
-        writer.writerow([col[r] if r < len(col) else "" for col in columns])
+    writer.writerows(zip_longest(*columns, fillvalue=""))
     return buf.getvalue()
 
 
 def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[tuple[int, int], int]]:
-    """Parse a table back into (palette_size, internal edge -> 0-based color)."""
+    """Parse a table back into (palette_size, internal edge -> 0-based color).
+
+    Each label text is converted and range-checked the first time it is met;
+    ``vertex`` keeps the result for the cells that repeat it.
+    """
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:  # an overlong cell, a bare carriage return
@@ -486,25 +495,35 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[tuple[int, int], in
         raise ColoringError(f"header must count colors 1..k, got {colors}")
     palette = len(colors)
     mapping: dict[tuple[int, int], int] = {}
+    vertex: dict[str, int] = {}  # label text -> vertex, for labels that passed
+    match = _EDGE_CELL.fullmatch
     for row in rows[1:]:
         for idx, cell in enumerate(row):
-            cell = cell.strip(_ASCII_SPACE)
-            if not cell:
-                continue
-            if idx >= palette:
-                raise ColoringError(f"cell {cell!r} beyond declared palette")
-            m = _EDGE_CELL.match(cell)
-            if not m:
-                raise ColoringError(f"cannot parse edge cell {cell!r}")
-            try:
-                u_label, v_label = int(m.group(1)), int(m.group(2))
-            except ValueError:  # a label past the interpreter's digit limit
-                raise ColoringError(f"edge cell {cell!r} out of range for n={n}") from None
-            if not (1 <= u_label <= n and 1 <= v_label <= n):
-                raise ColoringError(f"edge cell {cell!r} out of range for n={n}")
-            if u_label == v_label:
+            # a cell that matches as read has no space to strip
+            m = match(cell) if idx < palette else None
+            if m is None:
+                cell = cell.strip(_ASCII_SPACE)
+                if not cell:
+                    continue
+                if idx >= palette:
+                    raise ColoringError(f"cell {cell!r} beyond declared palette")
+                m = match(cell)
+                if m is None:
+                    raise ColoringError(f"cannot parse edge cell {cell!r}")
+            u_text, v_text = m.groups()
+            a, b = vertex.get(u_text), vertex.get(v_text)
+            if a is None or b is None:
+                try:
+                    u_label, v_label = int(u_text), int(v_text)
+                except ValueError:  # a label past the interpreter's digit limit
+                    raise ColoringError(f"edge cell {cell!r} out of range for n={n}") from None
+                if not (1 <= u_label <= n and 1 <= v_label <= n):
+                    raise ColoringError(f"edge cell {cell!r} out of range for n={n}")
+                # stored only once both labels pass, so no failure is remembered
+                a = vertex[u_text] = u_label % n
+                b = vertex[v_text] = v_label % n
+            if a == b:  # distinct labels in 1..n stay distinct modulo n
                 raise ColoringError(f"edge cell {cell!r} is a loop")
-            a, b = u_label % n, v_label % n  # distinct labels in 1..n stay distinct
             e = (a, b) if a < b else (b, a)
             if e in mapping:
                 raise ColoringError(f"edge {cell!r} listed twice")
@@ -514,11 +533,16 @@ def parse_coloring_csv(text: str, n: int) -> tuple[int, dict[tuple[int, int], in
 
 def coloring_to_json(coloring: EdgeColoring) -> str:
     """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)``, from templates."""
-    edges = _json_array([
-        f'    {{\n      "color": {c + 1},\n      "u": {u},\n      "v": {v}\n    }}'
-        for (u, v), c in sorted(coloring.items())
-    ])
+    edge_color = coloring.edge_color
     n, palette = coloring.graph.n, coloring.palette_size
+    dec = [str(v) for v in range(n)]
+    # keyed by the colors present, so a palette far above n allocates nothing more
+    shown = {c: str(c + 1) for c in set(edge_color.values())}
+    edges = _json_array([
+        f'    {{\n      "color": {shown[edge_color[k]]},\n      "u": {dec[k[0]]},\n'
+        f'      "v": {dec[k[1]]}\n    }}'
+        for k in sorted(edge_color)
+    ])
     return f'{{\n  "edges": {edges},\n  "n": {n},\n  "palette": {palette}\n}}'
 
 

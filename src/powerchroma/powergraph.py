@@ -149,7 +149,12 @@ def graph_to_json(graph: Graph) -> str:
 
     With ``indent``, CPython's json runs its pure-Python encoder, token by token.
     """
-    edges = _json_array([f"    [\n      {u},\n      {v}\n    ]" for u, v in graph.edges()])
+    dec = [str(v) for v in range(graph.n)]
+    edges = _json_array([
+        f"    [\n      {dec[u]},\n      {dec[v]}\n    ]"
+        for u, m in enumerate(graph.bits)
+        for v in _row(m, u + 1)
+    ])
     labels = _json_array([f"    {encode_basestring_ascii(s)}" for s in graph.labels])
     return f'{{\n  "edges": {edges},\n  "labels": {labels},\n  "n": {graph.n}\n}}'
 
@@ -212,6 +217,7 @@ def graph_to_dot(graph: Graph, display_labels: bool = False) -> str:
     lines = ["graph powergraph {"]
     for v in range(graph.n):
         label = str(display_vertex(v, graph.n)) if display_labels else graph.labels[v]
+        label = label.replace("\\", "\\\\").replace('"', '\\"')  # backslash first
         lines.append(f'  n{v} [label="{label}"];')
     for u, v in graph.edges():
         lines.append(f"  n{u} -- n{v};")

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import random
+import re
 import signal
 import time
 from pathlib import Path
@@ -40,6 +41,7 @@ from powerchroma import (
     predict_class,
 )
 from powerchroma import exchange
+from powerchroma.groups import _ASCII_SPACE, _decimal
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -487,6 +489,55 @@ def reference_coloring_to_json(coloring) -> str:
         "edges": [{"u": e[0], "v": e[1], "color": c + 1} for e, c in sorted(coloring.items())],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+_REFERENCE_EDGE_CELL = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$", re.ASCII)
+
+
+def reference_parse_coloring_csv(text: str, n: int) -> tuple[int, dict[tuple[int, int], int]]:
+    """The table reader before its label memo: both labels of every cell parsed."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # an overlong cell, a bare carriage return
+        raise ColoringError(f"coloring table does not parse: {exc}") from None
+    if not rows:
+        raise ColoringError("empty coloring table")
+    header = rows[0]
+    labels = [h.strip(_ASCII_SPACE) for h in header]
+    while labels and not labels[-1]:  # blank cells may only trail the header
+        labels.pop()
+    try:
+        colors = [_decimal(h) for h in labels]
+    except ValueError as exc:
+        raise ColoringError(f"bad header row {header!r}") from exc
+    if colors != list(range(1, len(colors) + 1)):
+        raise ColoringError(f"header must count colors 1..k, got {colors}")
+    palette = len(colors)
+    mapping: dict[tuple[int, int], int] = {}
+    for row in rows[1:]:
+        for idx, cell in enumerate(row):
+            cell = cell.strip(_ASCII_SPACE)
+            if not cell:
+                continue
+            if idx >= palette:
+                raise ColoringError(f"cell {cell!r} beyond declared palette")
+            m = _REFERENCE_EDGE_CELL.match(cell)
+            if not m:
+                raise ColoringError(f"cannot parse edge cell {cell!r}")
+            try:
+                u_label, v_label = int(m.group(1)), int(m.group(2))
+            except ValueError:  # a label past the interpreter's digit limit
+                raise ColoringError(f"edge cell {cell!r} out of range for n={n}") from None
+            if not (1 <= u_label <= n and 1 <= v_label <= n):
+                raise ColoringError(f"edge cell {cell!r} out of range for n={n}")
+            if u_label == v_label:
+                raise ColoringError(f"edge cell {cell!r} is a loop")
+            a, b = u_label % n, v_label % n  # distinct labels in 1..n stay distinct
+            e = (a, b) if a < b else (b, a)
+            if e in mapping:
+                raise ColoringError(f"edge {cell!r} listed twice")
+            mapping[e] = idx
+    return palette, mapping
 
 
 def reference_graph_from_json(text: str) -> Graph:

@@ -159,6 +159,10 @@ def fill_outcome(build):
 
 
 class TestFill:
+    def test_a_negative_palette_is_refused(self):
+        with pytest.raises(ColoringError, match="^palette size must be >= 0, got -1$"):
+            EdgeColoring(complete_graph(2), -1)
+
     @settings(max_examples=300, deadline=None)
     @given(fills())
     # a clash at both endpoints names u

@@ -14,6 +14,7 @@ from powerchroma import (
     GroupSpecError,
     GroupTableError,
     construct_group,
+    direct_product,
     euler_phi,
     factorize,
     generate_catalog,
@@ -105,6 +106,14 @@ class TestConstructGroup:
         expected = Counter(15 // math.gcd(k, 15) for k in range(15))
         assert Counter(group.element_orders) == expected
         assert expected == Counter({1: 1, 3: 2, 5: 4, 15: 8})
+
+    def test_a_product_needs_two_factors(self):
+        with pytest.raises(ValueError, match="^direct_product needs at least two factors$"):
+            direct_product(construct_group("cyclic:3"))
+
+    def test_element_names_must_match_the_order(self):
+        with pytest.raises(ValueError, match="^element_names length does not match group order$"):
+            Group([[0, 1], [1, 0]], "c2", element_names=["e"])
 
     def test_trivial_group(self):
         group = construct_group("cyclic:1")

@@ -153,6 +153,11 @@ class TestExactChromaticIndex:
         assert result.nodes_explored > 0
         assert verify_proper(petersen, result.witness).valid
 
+    def test_a_small_budget_gives_no_answer(self):
+        result = exact_chromatic_index(complete_graph(10), budget=5)
+        assert (result.chromatic_index, result.witness) == (None, None)
+        assert result.budget_exhausted and result.nodes_explored > 5
+
     def test_edgeless(self):
         result = exact_chromatic_index(Graph(3, []))
         assert result.chromatic_index == 0

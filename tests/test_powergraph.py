@@ -240,6 +240,10 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             make_edge(2, 2)
 
+    def test_a_negative_complete_graph_is_refused(self):
+        with pytest.raises(ValueError, match=r"^vertex count must be >= 0, got -1$"):
+            complete_graph(-1)
+
     def test_out_of_range_edge_message_prints_the_pair(self):
         message = "edge (0, 5) out of range for n=3"
         with pytest.raises(ValueError) as info:
@@ -296,6 +300,7 @@ class TestSerialization:
         "text",
         [
             '{"n": 3}',
+            '{"n": 2, "edges": 5}',
             '{"n": 2, "edges": [[0]]}',
             '{"n": "a", "edges": []}',
             "[]",
@@ -363,6 +368,12 @@ class TestSerialization:
         assert dot.startswith("graph powergraph {")
         assert 'n0 [label="e"];' in dot
         assert "n0 -- n1" in dot
+
+    def test_dot_escapes_backslashes_then_quotes(self):
+        text = '{"n": 3, "edges": [[0, 1]], "labels": ["e", "a\\"b", "c\\\\"]}'
+        dot = graph_to_dot(graph_from_json(text))
+        assert 'n1 [label="a\\"b"];' in dot
+        assert 'n2 [label="c\\\\"];' in dot
 
     def test_dot_with_colors_and_display_labels(self):
         dot = graph_to_dot(complete_graph(4), display_labels=True)

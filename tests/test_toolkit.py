@@ -214,3 +214,18 @@ class TestSurvey:
         report.predicted_class = "class1"  # fabricate an inconsistency
         problems = _check_report(report)
         assert problems and any("does not track" in p for p in problems)
+
+    def test_an_unverified_witness_is_a_problem(self):
+        report = survey_group("cyclic:9", witness=True)
+        report.witness.verified = False
+        assert _check_report(report) == ["cyclic:9: witness coloring failed verification"]
+
+    def test_an_exhausted_search_is_a_problem(self):
+        report = survey_group("cyclic:6", oracle_max_order=6)
+        assert _check_report(report) == []
+        report.oracle.budget_exhausted = True
+        assert _check_report(report) == ["cyclic:6: exact search exhausted its budget"]
+        report.oracle.budget_exhausted, report.oracle.agrees = False, False
+        assert _check_report(report) == [
+            "cyclic:6: exact chromatic index 5 disagrees with predicted class1"
+        ]

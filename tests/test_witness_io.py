@@ -37,6 +37,7 @@ from conftest import (
     reference_coloring_to_json,
     reference_graph_from_json,
     reference_graph_to_json,
+    reference_parse_coloring_csv,
     reference_verify_assignment,
 )
 
@@ -110,12 +111,13 @@ class TestAgainstReference:
         text = graph_to_json(graph)
         assert text == reference_graph_to_json(graph)
         assert same_graph(graph_from_json(text), graph)
-        for palette in (0, 1, 3):
+        for palette in (0, 1, 3, 5):  # 3 and 5 lie above n = 0, 1 and 2; 5 colors (0, 1) 4
             coloring = EdgeColoring(graph, palette)
-            if palette == 3:
-                for color, (u, v) in enumerate(graph.edges()):
-                    coloring.assign(u, v, color)
+            if palette >= 3:
+                for i, (u, v) in enumerate(graph.edges()):
+                    coloring.assign(u, v, palette - 1 - i)
             assert coloring_to_json(coloring) == reference_coloring_to_json(coloring)
+            assert coloring_to_csv(coloring) == reference_coloring_to_csv(coloring)
 
     def test_a_loop_key_is_a_foreign_edge(self):
         graph = Graph(3, [(0, 1)])
@@ -410,6 +412,8 @@ class TestParserFuzz:
     @given(CSV_TEXTS, st.integers(0, 20))
     @settings(max_examples=300, deadline=None)
     def test_coloring_csv_parser(self, text, n):
+        expected = csv_outcome(reference_parse_coloring_csv, text, n)
+        assert csv_outcome(parse_coloring_csv, text, n) == expected
         try:
             palette, mapping = parse_coloring_csv(text, n)
         except ColoringError:
@@ -435,3 +439,133 @@ class TestParserFuzz:
         except TYPED:
             return
         assert group.order >= 1
+
+
+@st.composite
+def coloring_tables(draw):
+    """(text, n): a valid table of edge cells, then a few cells rewritten or added.
+
+    The rewrites pad a cell with ASCII or other space, zero-pad a label, put a
+    label out of range or past the digit limit, turn a cell round, repeat it,
+    make it a loop, or add a blank, unparsable or past-the-palette cell.
+    """
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 0, 1]))
+    palette = draw(st.sampled_from([1, 2, 3, 4, 1, 2, 3, 0]))
+    header = [str(c) for c in range(1, palette + 1)]
+    header += draw(st.sampled_from([[]] * 8 + [[""], [" ", ""], ["x"], ["0"]]))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    chosen = []
+    if pairs:
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True))
+    plain = ["", "", "", " ", "", ""]  # the pads of "(a, b)"
+    cells = [[str(a), str(b), list(plain)] for a, b in chosen]  # labels, then six pads
+    extra: list[str] = []
+    space = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\xa0", "\u3000"])
+    kinds = ["pad", "zeros", "out", "digits", "turn", "repeat", "repeat", "loop", "blank", "junk",
+             "past"]
+    edits = st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 11)), max_size=3)
+    for kind, i in draw(edits):
+        if kind == "blank":
+            extra.append(draw(st.sampled_from(["", " ", "\t", "\xa0"])))
+        elif kind == "junk":
+            extra.append(draw(st.sampled_from(["x", "(1 2)", "(-1, 2)", "(1, 2", "(1,2)x", "()"])))
+        elif kind == "past":
+            extra.append("past")
+        elif cells:
+            cell = cells[i % len(cells)]
+            side = i % 2
+            if kind == "pad":
+                cell[2][draw(st.integers(0, 5))] = draw(space)
+            elif kind == "zeros":
+                cell[side] = "0" * draw(st.integers(1, 3)) + cell[side]
+            elif kind == "out":
+                cell[side] = str(draw(st.sampled_from([0, n + 1, n + 2, 10**30])))
+            elif kind == "digits":
+                cell[side] = draw(st.sampled_from(["1" * 5000, "0" * 4999 + "1"]))
+            elif kind == "turn":
+                cell[0], cell[1] = cell[1], cell[0]
+            elif kind == "repeat":  # as written, or turned round with the same pads
+                turned = [cell[1], cell[0], list(cell[2])]
+                cells.append(turned if side else [*cell[:2], list(plain)])
+            else:  # a loop, maybe through a zero-padded label
+                other = "0" + cell[side] if i % 3 == 0 else cell[side]
+                cells.append([cell[side], other, list(plain)])
+    shown = [f"{p[0]}({p[1]}{a}{p[2]},{p[3]}{b}{p[4]}){p[5]}" for a, b, p in cells]
+    order = draw(st.permutations(shown + extra))
+    width = max(palette, 1)
+    rows = [list(order[k:k + width]) for k in range(0, len(order), width)]
+    for row in rows:
+        if "past" in row:  # an edge cell in the first column past the palette
+            row[row.index("past")] = ""
+            row += [""] * (palette - len(row)) + ["(1, 2)"]
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + rows)
+    return buf.getvalue(), n
+
+
+def csv_outcome(fn, text, n):
+    """The palette and the mapping with its order, or the type and message raised."""
+    try:
+        palette, mapping = fn(text, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return palette, list(mapping.items())
+
+
+class TestCsvReaderAgainstReference:
+    """The reader and its memo against the reader that parsed every label of every cell."""
+
+    @given(coloring_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_same_mapping_or_message(self, case):
+        text, n = case
+        assert csv_outcome(parse_coloring_csv, text, n) == csv_outcome(
+            reference_parse_coloring_csv, text, n
+        )
+
+    def test_catalog_tables_read_the_same(self, witnesses):
+        for spec, result in witnesses.items():
+            text, n = coloring_to_csv(result.coloring), result.graph.n
+            assert csv_outcome(parse_coloring_csv, text, n) == csv_outcome(
+                reference_parse_coloring_csv, text, n
+            ), spec
+
+    @pytest.mark.parametrize(
+        "text, n, expected",
+        [
+            ('1\n"(01, 2)"\n', 3, (1, [((1, 2), 0)])),
+            ('1,2\n"(3, 1)"," ( 2 ,1 ) "\n', 3, (2, [((0, 1), 0), ((1, 2), 1)])),
+            ('1\n"(0, 1)"\n', 5, (ColoringError, "edge cell '(0, 1)' out of range for n=5")),
+            ('1\n"(1, 6)"\n', 5, (ColoringError, "edge cell '(1, 6)' out of range for n=5")),
+            ('1\n"(1, 01)"\n', 5, (ColoringError, "edge cell '(1, 01)' is a loop")),
+            ('1\n"(1, 2)"\n"(2, 1)"\n', 5, (ColoringError, "edge '(2, 1)' listed twice")),
+            ('1\n"(5, 1)"\n" (1,05)"\n', 5, (ColoringError, "edge '(1,05)' listed twice")),
+            ('1\n"(1, 2)","(1, 3)"\n', 5, (ColoringError, "cell '(1, 3)' beyond declared palette")),
+            ('1,2\n" ", \t\n(x)\n', 5, (ColoringError, "cannot parse edge cell '(x)'")),
+        ],
+    )
+    def test_pinned_tables(self, text, n, expected):
+        assert csv_outcome(parse_coloring_csv, text, n) == expected
+        assert csv_outcome(reference_parse_coloring_csv, text, n) == expected
+
+    def test_a_label_past_the_digit_limit_is_refused(self):
+        cell = f"(1, {'0' * 4999}2)"
+        expected = (ColoringError, f"edge cell {cell!r} out of range for n=5")
+        assert csv_outcome(parse_coloring_csv, f'1\n"{cell}"\n', 5) == expected
+
+    def test_a_label_refused_once_is_read_when_valid(self):
+        # a failing cell ends the call, so only a later call can meet its labels again:
+        # 6 is out of range at n = 5 and vertex 0 at n = 6, and 2 is read either way
+        table = '1,2\n"(2, 6)","(2, 3)"\n'
+        assert csv_outcome(parse_coloring_csv, table, 5) == (
+            ColoringError, "edge cell '(2, 6)' out of range for n=5"
+        )
+        assert csv_outcome(parse_coloring_csv, table, 6) == (2, [((0, 2), 0), ((2, 3), 1)])
+
+
+class TestJsonReaderMessages:
+    def test_an_edge_listed_twice_is_refused(self):
+        edges = [{"u": 0, "v": 1, "color": 1}, {"u": 1, "v": 0, "color": 2}]
+        text = json.dumps({"n": 3, "palette": 2, "edges": edges})
+        with pytest.raises(ColoringError, match=r"^edge \(0, 1\) listed twice$"):
+            parse_coloring_json(text)
