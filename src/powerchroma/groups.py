@@ -2,9 +2,11 @@
 
 Groups are built from family specs (cyclic, dihedral, generalized quaternion,
 direct products) or loaded from table files. Element 0 is always the identity.
-The family tables are built from slices, products from shared row blocks.
-Validation scans the rows and columns for Latin faults only when a group
-axiom fails, and composes byte rows in C up to order 256. Element orders and
+The family tables are built from slices, products from shared row blocks,
+with ``bytes`` rows up to order 256. A bytes row's type proves its entries
+ints in 0..255, so validation checks only its bound, in C. Validation scans
+the rows and columns for Latin faults only when a group axiom fails, and
+composes byte rows in C up to order 256. Element orders and
 cyclic-subgroup membership are cached at construction, since the power-graph
 build queries them repeatedly. Construction walks the powers of an element
 only when no earlier walk reached it, so at most once per cyclic subgroup,
@@ -40,6 +42,11 @@ __all__ = [
 
 # Largest order a spec may ask for: n vertices by a palette of n fill coloring._MAX_SLOTS.
 MAX_ORDER = 4096
+
+# Values a byte holds: up to this order an element index fits in a byte, so
+# family rows are built as bytes and the validator composes rows with
+# bytes.translate, whose map has this many entries.
+_BYTE_VALUES = 256
 
 
 class GroupSpecError(ValueError):
@@ -87,7 +94,10 @@ def validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     """Check the full group axioms: Latin square, identity at 0, associativity, inverses.
 
     Every row's length and entries (exact ints in 0..n-1) are checked first,
-    then the identity, associativity and inverses. A table that passes these
+    then the identity, associativity and inverses. A ``bytes`` row holds exact
+    ints in 0..255 by its type, so one ``translate`` that deletes 0..n-1 checks
+    its bound; any other row, or a bytes row with an entry >= n, is checked
+    entry by entry, with the same message. A table that passes these
     is a monoid with two-sided inverses, so a group, whose rows and columns
     are permutations. So rows, then columns, are scanned only when a check
     fails, before its error is raised: the messages and their precedence are
@@ -106,23 +116,25 @@ def validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     n = len(table)
     if n == 0:
         raise GroupTableError("empty multiplication table")
+    below = bytes(range(min(n, _BYTE_VALUES)))  # a bytes row's entries that are in range
     well_formed = 0  # rows whose length and entries are checked
     try:
         for i, row in enumerate(table):
             if len(row) != n:
                 raise GroupTableError(f"row {i} has length {len(row)}, expected {n}")
-            for x in row:
-                if type(x) is not int or not 0 <= x < n:
-                    raise GroupTableError(f"entry {x!r} in row {i} out of range 0..{n - 1}")
+            if type(row) is not bytes or row.translate(None, below):
+                for x in row:
+                    if type(x) is not int or not 0 <= x < n:
+                        raise GroupTableError(f"entry {x!r} in row {i} out of range 0..{n - 1}")
             well_formed += 1
         for j in range(n):
             if table[0][j] != j:
                 raise GroupTableError("element 0 is not a left identity")
             if table[j][0] != j:
                 raise GroupTableError("element 0 is not a right identity")
-        if n <= 256:  # the bytes hold element indices, and translate maps through 256 bytes
+        if n <= _BYTE_VALUES:  # the bytes hold element indices, and translate maps through 256 bytes
             rows = [bytes(row) for row in table]
-            maps = [row + bytes(256 - n) for row in rows]
+            maps = [row + bytes(_BYTE_VALUES - n) for row in rows]
             composer = lambda row: row.translate
         else:
             rows = maps = list(map(tuple, table))
@@ -193,10 +205,10 @@ class Group:
     __slots__ = ("order", "table", "element_orders", "label", "element_names", "_powers")
 
     def __init__(self, table, label: str, element_names=None):
-        rows = tuple(map(tuple, table))
+        rows = tuple(row if type(row) is bytes else tuple(row) for row in table)
         validate_table(rows)
         self.order = len(rows)
-        self.table = rows
+        self.table = rows = tuple(map(tuple, rows))
         self.label = label
         if element_names is None:
             names = tuple(f"g{i}" for i in range(self.order))
@@ -247,7 +259,7 @@ def cyclic_group(n: int) -> Group:
     """Cyclic group of order n, element i standing for the i-th generator power."""
     if n < 1:
         raise GroupSpecError(f"cyclic:{n}: order must be >= 1")
-    twice = tuple(range(n)) * 2
+    twice = _ints(range(n), n) * 2
     table = [twice[i : i + n] for i in range(n)]
     names = ["e"] + ["c" if i == 1 else f"c^{i}" for i in range(1, n)]
     return Group(table, f"cyclic:{n}", names)
@@ -280,13 +292,18 @@ def quaternion_group(m: int) -> Group:
     return Group(table, f"quaternion:{m}", names)
 
 
-def _twisted_table(n: int, twist: int) -> list[tuple[int, ...]]:
+def _ints(values, order: int) -> bytes | tuple[int, ...]:
+    """A row of element indices of a group of this order: bytes when a byte holds them."""
+    return bytes(values) if order <= _BYTE_VALUES else tuple(values)
+
+
+def _twisted_table(n: int, twist: int) -> list[bytes | tuple[int, ...]]:
     """Order-2n table on x^i (element i) and x^i y (n + i), with x^i y x^k = x^(i-k) y and
     x^i y x^k y = x^(i-k+twist), 0 <= twist < n: each row joins two slices of repeated
     ranges, counting up for x^i and down for x^i y, plain or shifted by n.
     """
-    up = tuple(range(n)) * 3
-    up_y = tuple(range(n, 2 * n)) * 2
+    up = _ints(range(n), 2 * n) * 3
+    up_y = _ints(range(n, 2 * n), 2 * n) * 2
     table = [up[i : i + n] + up_y[i : i + n] for i in range(n)]
     # up[j + n : j : -1] counts down from j mod n
     table += [up_y[i + n : i : -1] + up[i + twist + n : i + twist : -1] for i in range(n)]
@@ -299,18 +316,25 @@ def direct_product(*groups: Group) -> Group:
     Factors are folded pairwise: in A x B the element (x, y) has index
     x*|B| + y, so the row of (a, b) joins, for each x in a's row, the block
     x*|B| + b's row. The blocks of one b are built once and shared by every a.
+    Up to order 256 a block is b's byte row translated through x*|B| + y.
     """
     if len(groups) < 2:
         raise ValueError("direct_product needs at least two factors")
     table = groups[0].table
     parts = [(name,) for name in groups[0].element_names]
     for group in groups[1:]:
-        m = group.order
-        product = [None] * (len(table) * m)
-        for b, row_b in enumerate(group.table):
-            # lists, since tuple blocks raised the peak RSS; one b's blocks live at a time
-            blocks = [[x * m + y for y in row_b] for x in range(len(table))]
-            product[b::m] = [tuple(chain.from_iterable(map(blocks.__getitem__, row_a))) for row_a in table]
+        m, k = group.order, len(table)
+        product = [None] * (k * m)
+        if k * m <= _BYTE_VALUES:
+            shift = [bytes(range(x * m, x * m + m)) + bytes(_BYTE_VALUES - m) for x in range(k)]
+            for b, row_b in enumerate(group.table):
+                blocks = list(map(bytes(row_b).translate, shift))
+                product[b::m] = [b"".join(map(blocks.__getitem__, row_a)) for row_a in table]
+        else:
+            for b, row_b in enumerate(group.table):
+                # lists, since tuple blocks raised the peak RSS; one b's blocks live at a time
+                blocks = [[x * m + y for y in row_b] for x in range(k)]
+                product[b::m] = [tuple(chain.from_iterable(map(blocks.__getitem__, row_a))) for row_a in table]
         table = product
         parts = [p + (name,) for p in parts for name in group.element_names]
     label = "product:" + ",".join(g.label for g in groups)

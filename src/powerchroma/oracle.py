@@ -176,7 +176,8 @@ def misra_gries_coloring(graph: Graph) -> EdgeColoring:
 
 
 def _mg_color_edge(coloring: EdgeColoring, u: int, v: int) -> None:
-    at, base = coloring.at, u * coloring.palette_size
+    at, p = coloring.at, coloring.palette_size
+    base = u * p
     # maximal fan of u starting at v: each next edge's color is free at the
     # previous fan vertex; the least such neighbor comes next
     fan = [v]
@@ -193,28 +194,20 @@ def _mg_color_edge(coloring: EdgeColoring, u: int, v: int) -> None:
         # flip the maximal c/d path out of u so that d becomes free at u
         coloring.invert_path(u, d, c)  # u misses c
 
-    # rotate the shortest fan prefix ending at a vertex where d is now free
-    # and whose fan property survived the inversion
-    w_index = None
-    for i, w in enumerate(fan):
-        if d not in coloring.missing_at(w):
-            continue
-        if _is_fan(coloring, u, fan[: i + 1]):
-            w_index = i
-            break
-    assert w_index is not None, "fan rotation target must exist"
-    prefix = fan[: w_index + 1]
+    # Rotate the fan prefix that ends at the first vertex where d is now free:
+    # it is still a fan. With no flip the fan is as built. Otherwise u's d edge
+    # leads to some fan[j + 1] (fan[-1] misses d and the fan is maximal), so
+    # fan[j] missed d. The flip swaps c and d on its path only, and
+    # (u, fan[j + 1]) is the one fan edge colored c or d, as u misses c; so
+    # fan[: j + 1] stays a fan. If the path does not end at fan[j], fan[j]
+    # still misses d, and the first such vertex comes no later. If it does,
+    # fan[j] now misses c, the new color of (u, fan[j + 1]), so the whole fan
+    # stays one, and fan[-1], off the path, still misses d.
+    end = next(i for i, w in enumerate(fan) if at[w * p + d] < 0)
+    prefix = fan[: end + 1]
     shifted = [coloring.color_of(u, x) for x in prefix[1:]]
     for x in prefix[1:]:
         coloring.unassign(u, x)
     for x, color in zip(prefix, shifted):
         coloring.assign(u, x, color)
     coloring.assign(u, prefix[-1], d)
-
-
-def _is_fan(coloring: EdgeColoring, u: int, fan: list[int]) -> bool:
-    for prev, cur in zip(fan, fan[1:]):
-        color = coloring.color_of(u, cur)
-        if color is None or color not in coloring.missing_at(prev):
-            return False
-    return True

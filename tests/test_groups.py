@@ -133,10 +133,12 @@ class TestConstructGroup:
         assert construct_group("quaternion:3").order == 12
 
     def test_tables_and_names_match_the_cell_by_cell_references(self):
-        # the catalog holds dihedral:3..60 and quaternion:2..30; the last spec
-        # has nonabelian factors, which the catalog never builds
+        # the catalog holds dihedral:3..60 and quaternion:2..30; the sixth spec
+        # has nonabelian factors, which the catalog never builds; the last three
+        # pass order 256, where the builders give tuple rows instead of bytes
         extra = ["cyclic:255", "dihedral:127", "quaternion:63", "product:cyclic:3,cyclic:75",
-                 "product:" + ",".join(["cyclic:2"] * 8), "product:dihedral:3,quaternion:2"]
+                 "product:" + ",".join(["cyclic:2"] * 8), "product:dihedral:3,quaternion:2",
+                 "cyclic:257", "dihedral:129", "product:cyclic:3,cyclic:99"]
         catalog = [g for g in catalog_groups_to_120() if not g.label.startswith("table:")]
         assert len(catalog) == 307
         for group in catalog + [construct_group(spec) for spec in extra]:
@@ -345,6 +347,14 @@ class TestValidator:
             pytest.param((), "empty multiplication table", id="empty"),
             pytest.param(((0, 1), (1,)), "row 1 has length 1, expected 2", id="ragged"),
             pytest.param(((0, 1), (1, 2)), "entry 2 in row 1 out of range 0..1", id="entry-n"),
+            # bytes rows: their type proves 0..255, and the bound n is still checked
+            pytest.param((b"\x00\x01", b"\x01\x02"), "entry 2 in row 1 out of range 0..1", id="bytes-entry-n"),
+            pytest.param((b"\x00\x01", b"\x01"), "row 1 has length 1, expected 2", id="bytes-ragged"),
+            pytest.param(
+                (b"\x00\x01\x02", b"\x01\x02\x00", (2, 0, 1.0)),
+                "entry 1.0 in row 2 out of range 0..2",
+                id="bytes-then-float",
+            ),
             pytest.param(
                 ((0, 1, 2), (1, 2, 0), (2, 0, -1)), "entry -1 in row 2 out of range 0..2", id="entry-neg"
             ),
@@ -398,6 +408,30 @@ class TestValidator:
         assert message(validate_table, table) is None
 
     @pytest.mark.parametrize(
+        "spec, row_type",
+        [
+            ("cyclic:256", bytes),
+            ("dihedral:128", bytes),
+            ("quaternion:64", bytes),
+            ("product:" + ",".join(["cyclic:2"] * 8), bytes),
+            ("cyclic:257", tuple),
+            ("dihedral:129", tuple),
+            ("quaternion:65", tuple),
+            ("product:cyclic:3,cyclic:99", tuple),
+        ],
+    )
+    def test_the_builders_hand_the_validator_byte_rows_up_to_order_256(self, monkeypatch, spec, row_type):
+        seen = []
+
+        def record(rows):
+            seen.append({type(row) for row in rows})
+            validate_table(rows)
+
+        monkeypatch.setattr(groups_module, "validate_table", record)
+        construct_group(spec)
+        assert seen[-1] == {row_type}
+
+    @pytest.mark.parametrize(
         "spec, cells",
         [
             pytest.param("product:" + ",".join(["cyclic:2"] * 8), (1, 2, 1, 2), id="order-256"),
@@ -428,12 +462,23 @@ class TestValidator:
             n = len(table)
             rows = [list(row) for row in table]
             i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-            rows[i][j] = data.draw(st.integers(0, n - 1))
+            # entries n..255 reach the bytes rows' bound check
+            rows[i][j] = data.draw(st.integers(0, 255))
             table = tuple(map(tuple, rows))
         expected = message(validate_table, table)
         assert message(validate_table, [list(row) for row in table]) == expected
         assert message(validate_table, list(table)) == expected
         assert message(validate_table, tuple(map(list, table))) == expected
+        assert message(validate_table, tuple(map(bytes, table))) == expected
+
+    @pytest.mark.parametrize("spec", ["quaternion:6", "product:cyclic:2,dihedral:4", "cyclic:256"])
+    def test_bytes_and_tuple_rows_give_one_group(self, spec):
+        rows = construct_group(spec).table
+        from_bytes, from_tuples = Group(list(map(bytes, rows)), spec), Group(rows, spec)
+        assert from_bytes.table == from_tuples.table == rows
+        assert all(type(row) is tuple for row in from_bytes.table)
+        assert from_bytes.element_orders == from_tuples.element_orders
+        assert all(from_bytes.powers_of(g) == from_tuples.powers_of(g) for g in range(len(rows)))
 
     def test_lists_and_tuples_get_one_verdict_on_switched_tables(self):
         for table in SMALL_TABLES:
