@@ -44,13 +44,14 @@ the path from v ends at u, the path from u ends at v and fails too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import merge
 from itertools import repeat
 
 from . import oracle
 from .coloring import EdgeColoring, _closed_form, _rotation_by_sum
 from .groups import Group
 from .overfull import OverfullReport, deficiency_report, is_overfull
-from .powergraph import Graph, build_power_graph, complete_graph, max_degree
+from .powergraph import Graph, _row, build_power_graph, complete_graph, max_degree
 
 __all__ = [
     "ExchangeFailure",
@@ -248,24 +249,41 @@ def _sacrifice_candidates(state: ExchangeState, t: tuple[int, int]) -> list[tupl
     return out
 
 
-def _relevant(state: ExchangeState, t: tuple[int, int]) -> list[tuple[int, int]]:
-    """The extra edges the lemma cannot settle for t, sorted.
+def _relevant(state: ExchangeState, t: tuple[int, int]):
+    """The extra edges the lemma cannot settle for t, in sorted order, yielded lazily.
 
     These are the extra edges at an endpoint of t and those whose color is
     missing at an endpoint; removing any other extra edge changes no walk.
+    Each source is sorted, and they are merged as the drain asks for the next
+    candidate, with repeats skipped, so an early success lists no more. A
+    failed ``_attempt_exchange`` leaves the state as found, so every source
+    reads the state this call saw.
     """
-    at, p, bits = state.at, state.palette_size, state.target.bits
-    out = set()
-    for w in t:
-        for x in at[w * p:(w + 1) * p]:
-            if x >= 0 and not bits[w] >> x & 1:
-                out.add((w, x) if w < x else (x, w))
-        for c in state.missing_at(w):
-            # the color class c as a partner list: vertex y is joined to x
-            for y, x in enumerate(at[c::p]):
-                if x > y and not bits[y] >> x & 1:
-                    out.add((y, x))
-    return sorted(out)
+    sources = [_extra_at(state, w) for w in t]
+    sources += [_extra_in_class(state, c) for w in t for c in state.missing_at(w)]
+    last = None
+    for e in merge(*sources):
+        if e != last:
+            last = e
+            yield e
+
+
+def _extra_at(state: ExchangeState, w: int):
+    """The extra edges at w, sorted: its non-neighbours in the target, ascending, colored at w."""
+    p = state.palette_size
+    colored = set(state.at[w * p:(w + 1) * p])
+    absent = ((1 << state.target.n) - 1) ^ state.target.bits[w]
+    for x in _row(absent, 0):
+        if x in colored:
+            yield (x, w) if x < w else (w, x)
+
+
+def _extra_in_class(state: ExchangeState, c: int):
+    """The extra edges of color c, sorted: the class as a partner list, by its lower end."""
+    bits = state.target.bits
+    for y, x in enumerate(state.at[c::state.palette_size]):
+        if x > y and not bits[y] >> x & 1:
+            yield y, x
 
 
 def _try_add(state: ExchangeState, t: tuple[int, int], depth: int) -> bool:

@@ -6,7 +6,11 @@ The family tables are built from slices, products from shared row blocks,
 with ``bytes`` rows up to order 256. A bytes row's type proves its entries
 ints in 0..255, so validation checks only its bound, in C. Validation scans
 the rows and columns for Latin faults only when a group axiom fails, and
-composes byte rows in C up to order 256. Element orders and
+composes byte rows in C up to order 256. Each group validates one table: a
+product spec's family factors are built as ``_Factor`` records, not groups,
+and only the product is validated. A group keeps the rows it validated and
+converts them to ``Group.table``'s tuples only when that is read, which no
+survey, classify or coloring path does. Element orders and
 cyclic-subgroup membership are cached at construction, since the power-graph
 build queries them repeatedly. Construction walks the powers of an element
 only when no earlier walk reached it, so at most once per cyclic subgroup,
@@ -17,6 +21,7 @@ and reads every subgroup inside it off that walk: if g has order o, then
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from itertools import chain
 from math import gcd, prod
 from operator import itemgetter
@@ -134,7 +139,8 @@ def validate_table(table: tuple[tuple[int, ...], ...]) -> None:
                 raise GroupTableError("element 0 is not a right identity")
         if n <= _BYTE_VALUES:  # the bytes hold element indices, and translate maps through 256 bytes
             rows = [bytes(row) for row in table]
-            maps = [row + bytes(_BYTE_VALUES - n) for row in rows]
+            pad = bytes(_BYTE_VALUES - n)
+            maps = [row + pad for row in rows]
             composer = lambda row: row.translate
         else:
             rows = maps = list(map(tuple, table))
@@ -169,20 +175,35 @@ def _generating_set(table) -> list[int]:
     whole table. The identity is left out: it passes Light's test trivially.
     Only the in-range entries and the identity are used, not Latin rows:
     every element enters ``inside`` at most once, so the walk ends.
+
+    The closure grows incrementally. When g is added, the elements already
+    inside are closed under the earlier generators, so each is multiplied by
+    g alone; g and every element new to the closure are multiplied by every
+    generator. The closure, and so each generator chosen, is the one a walk
+    over every element inside would give.
     """
     n = len(table)
     inside = [True] + [False] * (n - 1)
+    members = [0]  # the closure so far
     gens: list[int] = []
     for g in range(1, n):
         if inside[g]:
             continue
         gens.append(g)
         inside[g] = True
-        frontier = [x for x in range(n) if inside[x]]
+        frontier = [g]
+        row_g = table[g]
+        for x in members:
+            for z in (table[x][g], row_g[x]):
+                if not inside[z]:
+                    inside[z] = True
+                    frontier.append(z)
         while frontier:
             x = frontier.pop()
+            members.append(x)
+            row_x = table[x]
             for a in gens:
-                for z in (table[x][a], table[a][x]):
+                for z in (row_x[a], table[a][x]):
                     if not inside[z]:
                         inside[z] = True
                         frontier.append(z)
@@ -196,19 +217,24 @@ class Group:
     of g and ``powers_of(g)`` the cyclic subgroup it generates (as a frozenset
     of element indices, always containing the identity).
 
+    The group keeps the rows it validated: ``bytes`` rows up to order 256 as
+    the builders give them, tuples otherwise, in a list. ``table`` converts
+    them to a tuple of int tuples on first read and keeps that in their place,
+    so later reads return the same object.
+
     The powers e, g, g^2, ... are walked only for a g that no earlier walk
     reached. Every h = g^k in that walk is filled from it: with o the order of
     g and d = gcd(k, o), h has order o / d and generates every d-th power of g.
     Elements that generate the same subgroup share one frozenset.
     """
 
-    __slots__ = ("order", "table", "element_orders", "label", "element_names", "_powers")
+    __slots__ = ("order", "element_orders", "label", "element_names", "_table", "_powers")
 
     def __init__(self, table, label: str, element_names=None):
-        rows = tuple(row if type(row) is bytes else tuple(row) for row in table)
+        rows = [row if type(row) is bytes else tuple(row) for row in table]
         validate_table(rows)
         self.order = len(rows)
-        self.table = rows = tuple(map(tuple, rows))
+        self._table = rows  # a list until ``table`` is read, then the tuple it returns
         self.label = label
         if element_names is None:
             names = tuple(f"g{i}" for i in range(self.order))
@@ -240,6 +266,14 @@ class Group:
         self.element_orders = tuple(orders)
         self._powers = tuple(powers)
 
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The multiplication table as a tuple of int tuples, converted on first read."""
+        table = self._table
+        if type(table) is list:
+            self._table = table = tuple(map(tuple, table))
+        return table
+
     def powers_of(self, g: int) -> frozenset[int]:
         """The cyclic subgroup generated by g, as a set of element indices."""
         if not 0 <= g < self.order:
@@ -255,25 +289,19 @@ def is_cyclic(group: Group) -> bool:
     return group.order in group.element_orders
 
 
+# A family table with its label and element names: what a product spec builds
+# for a family factor, whose table the product's validation proves.
+_Factor = namedtuple("_Factor", "table label element_names")
+
+
 def cyclic_group(n: int) -> Group:
     """Cyclic group of order n, element i standing for the i-th generator power."""
-    if n < 1:
-        raise GroupSpecError(f"cyclic:{n}: order must be >= 1")
-    twice = _ints(range(n), n) * 2
-    table = [twice[i : i + n] for i in range(n)]
-    names = ["e"] + ["c" if i == 1 else f"c^{i}" for i in range(1, n)]
-    return Group(table, f"cyclic:{n}", names)
+    return Group(*_cyclic(n))
 
 
 def dihedral_group(n: int) -> Group:
     """Dihedral group of order 2n (n >= 3): rotations r^i and reflections r^i s."""
-    if n < 3:
-        raise GroupSpecError(f"dihedral:{n}: need n >= 3 (order 2n)")
-    # r^i is element i and r^i s is element n + i; r^i s r^k = r^(i-k) s
-    table = _twisted_table(n, 0)
-    names = ["e"] + ["r" if i == 1 else f"r^{i}" for i in range(1, n)]
-    names += ["s"] + ["r s" if i == 1 else f"r^{i} s" for i in range(1, n)]
-    return Group(table, f"dihedral:{n}", names)
+    return Group(*_dihedral(n))
 
 
 def quaternion_group(m: int) -> Group:
@@ -281,6 +309,29 @@ def quaternion_group(m: int) -> Group:
 
     Presentation a^(2m) = e, b^2 = a^m, b a b^-1 = a^-1; elements a^i b^j.
     """
+    return Group(*_quaternion(m))
+
+
+def _cyclic(n: int) -> _Factor:
+    if n < 1:
+        raise GroupSpecError(f"cyclic:{n}: order must be >= 1")
+    twice = _ints(range(n), n) * 2
+    table = [twice[i : i + n] for i in range(n)]
+    names = ["e"] + ["c" if i == 1 else f"c^{i}" for i in range(1, n)]
+    return _Factor(table, f"cyclic:{n}", names)
+
+
+def _dihedral(n: int) -> _Factor:
+    if n < 3:
+        raise GroupSpecError(f"dihedral:{n}: need n >= 3 (order 2n)")
+    # r^i is element i and r^i s is element n + i; r^i s r^k = r^(i-k) s
+    table = _twisted_table(n, 0)
+    names = ["e"] + ["r" if i == 1 else f"r^{i}" for i in range(1, n)]
+    names += ["s"] + ["r s" if i == 1 else f"r^{i} s" for i in range(1, n)]
+    return _Factor(table, f"dihedral:{n}", names)
+
+
+def _quaternion(m: int) -> _Factor:
     if m < 2:
         raise GroupSpecError(f"quaternion:{m}: need m >= 2 (order 4m)")
     two_m = 2 * m
@@ -289,7 +340,7 @@ def quaternion_group(m: int) -> Group:
     table = _twisted_table(two_m, m)
     names = ["e"] + ["a" if i == 1 else f"a^{i}" for i in range(1, two_m)]
     names += ["b"] + ["a b" if i == 1 else f"a^{i} b" for i in range(1, two_m)]
-    return Group(table, f"quaternion:{m}", names)
+    return _Factor(table, f"quaternion:{m}", names)
 
 
 def _ints(values, order: int) -> bytes | tuple[int, ...]:
@@ -313,6 +364,13 @@ def _twisted_table(n: int, twist: int) -> list[bytes | tuple[int, ...]]:
 def direct_product(*groups: Group) -> Group:
     """Direct product with mixed-radix element indexing; identity stays at 0.
 
+    A factor is anything with ``table``, ``label`` and ``element_names``: a
+    ``Group``, or the ``_Factor`` record a product spec builds for a family
+    factor. Only the product's table is validated. That proves every factor a
+    group too: under componentwise multiplication, A x B has a two-sided
+    identity, is associative and has inverses exactly when A and B do, as
+    each holds in A x B exactly when it holds in each component.
+
     Factors are folded pairwise: in A x B the element (x, y) has index
     x*|B| + y, so the row of (a, b) joins, for each x in a's row, the block
     x*|B| + b's row. The blocks of one b are built once and shared by every a.
@@ -323,7 +381,7 @@ def direct_product(*groups: Group) -> Group:
     table = groups[0].table
     parts = [(name,) for name in groups[0].element_names]
     for group in groups[1:]:
-        m, k = group.order, len(table)
+        m, k = len(group.table), len(table)
         product = [None] * (k * m)
         if k * m <= _BYTE_VALUES:
             shift = [bytes(range(x * m, x * m + m)) + bytes(_BYTE_VALUES - m) for x in range(k)]
@@ -399,24 +457,29 @@ def construct_group(spec: str) -> Group:
     return build()
 
 
-def _parse_spec(spec: str):
-    """The order a spec asks for and a function that builds its group."""
+def _parse_spec(spec: str, factor: bool = False):
+    """The order a spec asks for and a function that builds its group.
+
+    For a product's ``factor`` a family spec builds a ``_Factor`` record,
+    which the product's validation proves, not a ``Group``.
+    """
     text = spec.strip(_ASCII_SPACE)
     head, sep, rest = text.partition(":")
     head = head.strip(_ASCII_SPACE).lower()
     rest = rest.strip(_ASCII_SPACE)
     if not sep or not rest:
         raise GroupSpecError(f"malformed group spec {spec!r}")
-    families = {"cyclic": (cyclic_group, 1), "dihedral": (dihedral_group, 2),
-                "quaternion": (quaternion_group, 4)}
+    families = {"cyclic": (cyclic_group, _cyclic, 1), "dihedral": (dihedral_group, _dihedral, 2),
+                "quaternion": (quaternion_group, _quaternion, 4)}
     if head in families:
-        family, scale = families[head]
+        group, record, scale = families[head]
+        build = record if factor else group
         try:
             param = _decimal(rest)
         except ValueError as exc:
             raise GroupSpecError(f"expected an integer parameter in {spec!r}") from exc
         # a parameter below the family's least is refused by the family itself
-        return scale * max(param, 1), lambda: family(param)
+        return scale * max(param, 1), lambda: build(param)
     if head == "product":
         parts = [p.strip(_ASCII_SPACE) for p in rest.split(",")]
         if len(parts) < 2:
@@ -426,7 +489,7 @@ def _parse_spec(spec: str):
                 raise GroupSpecError(
                     f"nested products are not supported; flatten the factor list: {spec!r}"
                 )
-        factors = [_parse_spec(p) for p in parts]
+        factors = [_parse_spec(p, factor=True) for p in parts]
         return prod(o for o, _ in factors), lambda: direct_product(*(b() for _, b in factors))
     if head == "table":
         group = load_table_file(rest)

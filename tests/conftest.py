@@ -308,6 +308,50 @@ def reference_validate_table(table) -> None:
             raise GroupTableError(f"element {a} has no two-sided inverse")
 
 
+def reference_generating_set(table) -> list[int]:
+    """``_generating_set`` as first written: each new generator's closure walked anew.
+
+    The library multiplies the elements already inside by the new generator
+    alone, since they are closed under the earlier ones.
+    """
+    n = len(table)
+    inside = [True] + [False] * (n - 1)
+    gens: list[int] = []
+    for g in range(1, n):
+        if inside[g]:
+            continue
+        gens.append(g)
+        inside[g] = True
+        frontier = [x for x in range(n) if inside[x]]
+        while frontier:
+            x = frontier.pop()
+            for a in gens:
+                for z in (table[x][a], table[a][x]):
+                    if not inside[z]:
+                        inside[z] = True
+                        frontier.append(z)
+    return gens
+
+
+def reference_relevant(state, t) -> list[tuple[int, int]]:
+    """The exchange drain's candidate list as first written: gathered in a set, then sorted.
+
+    The library merges sorted sources lazily instead.
+    """
+    at, p, bits = state.at, state.palette_size, state.target.bits
+    out = set()
+    for w in t:
+        for x in at[w * p:(w + 1) * p]:
+            if x >= 0 and not bits[w] >> x & 1:
+                out.add((w, x) if w < x else (x, w))
+        for c in state.missing_at(w):
+            # the color class c as a partner list: vertex y is joined to x
+            for y, x in enumerate(at[c::p]):
+                if x > y and not bits[y] >> x & 1:
+                    out.add((y, x))
+    return sorted(out)
+
+
 def reference_attempt_exchange(state, remove, add) -> bool:
     """One exchange attempt as first written: remove, then walk every color pair both ways.
 

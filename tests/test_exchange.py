@@ -50,6 +50,7 @@ from conftest import (
     reference_base_edge_color,
     reference_drain,
     reference_finish,
+    reference_relevant,
 )
 
 
@@ -213,6 +214,27 @@ class TestSkipLemma:
     def test_drain_matches_full_walk_on_random_targets(self, rng, n):
         for _ in range(12):
             assert_drains_alike(random_matching_target(rng, n))
+
+    def test_lazy_candidates_are_the_sorted_list(self, monkeypatch, rng):
+        import powerchroma.exchange as exchange_module
+
+        relevant, lengths = exchange_module._relevant, []
+
+        def checked(state, t):
+            expected = reference_relevant(state, t)
+            assert list(relevant(state, t)) == expected
+            lengths.append(len(expected))
+            # read by the drain, with failed attempts between candidates, it yields the same
+            for i, e in enumerate(relevant(state, t)):
+                assert e == expected[i]
+                yield e
+
+        monkeypatch.setattr(exchange_module, "_relevant", checked)
+        targets = [build_power_graph(construct_group(spec)) for spec in odd_class1_specs(63)]
+        targets += [random_matching_target(rng, n) for n in (7, 9, 11, 13) for _ in range(6)]
+        for target in targets:
+            assert _drain(ExchangeState(target), 3)
+        assert len(lengths) > len(targets) and max(lengths) > 1
 
     def test_skipped_attempts_fail_and_leave_the_state(self, rng):
         targets = [build_power_graph(construct_group(s)) for s in ("cyclic:15", "cyclic:21")]

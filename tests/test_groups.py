@@ -1,6 +1,7 @@
 """Group construction, validation, and arithmetic queries."""
 
 import math
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -14,12 +15,17 @@ from powerchroma import (
     GroupSpecError,
     GroupTableError,
     construct_group,
+    cyclic_group,
+    dihedral_group,
     direct_product,
     euler_phi,
     factorize,
     generate_catalog,
     is_cyclic,
+    load_table_file,
     load_table_text,
+    quaternion_group,
+    survey_group,
     validate_table,
 )
 from powerchroma import groups as groups_module
@@ -29,6 +35,7 @@ from conftest import (
     brute_phi,
     catalog_groups_to_120,
     reference_closures,
+    reference_generating_set,
     reference_group,
     reference_validate_table,
 )
@@ -110,6 +117,44 @@ class TestConstructGroup:
     def test_a_product_needs_two_factors(self):
         with pytest.raises(ValueError, match="^direct_product needs at least two factors$"):
             direct_product(construct_group("cyclic:3"))
+
+    def test_a_product_spec_validates_one_table(self, monkeypatch):
+        # the factors' tables are proved by the product's: A x B is a group exactly when A and B are
+        seen = []
+
+        def record(rows):
+            seen.append(len(rows))
+            validate_table(rows)
+
+        monkeypatch.setattr(groups_module, "validate_table", record)
+        construct_group("product:cyclic:2,cyclic:2,cyclic:3")
+        assert seen == [12]
+
+    def test_a_product_of_groups_is_the_product_spec_group(self, tmp_path):
+        path = tmp_path / "c3.table"
+        path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+        cases = [
+            ((cyclic_group(2), quaternion_group(2)), "product:cyclic:2,quaternion:2"),
+            ((load_table_file(path), dihedral_group(3), cyclic_group(2)),
+             f"product:table:{path},dihedral:3,cyclic:2"),
+        ]
+        for factors, spec in cases:
+            product, expected = direct_product(*factors), construct_group(spec)
+            assert product.table == expected.table, spec
+            assert product.element_names == expected.element_names, spec
+            assert product.label == expected.label == spec
+
+    @pytest.mark.parametrize("spec", ["dihedral:5", "product:cyclic:3,dihedral:4"])
+    def test_a_survey_reads_no_table(self, monkeypatch, spec):
+        # the rows a group validated serve every survey layer; only ``table`` converts them
+        def refuse(group):
+            raise AssertionError(f"{group!r}.table read")
+
+        expected = survey_group(spec, witness=True, oracle_max_order=12).to_dict()
+        monkeypatch.setattr(Group, "table", property(refuse))
+        with pytest.raises(AssertionError, match="table read"):
+            construct_group(spec).table
+        assert survey_group(spec, witness=True, oracle_max_order=12).to_dict() == expected
 
     def test_element_names_must_match_the_order(self):
         with pytest.raises(ValueError, match="^element_names length does not match group order$"):
@@ -309,6 +354,18 @@ class TestValidator:
             if spec.startswith("cyclic:") and len(table) > 1:
                 assert gens == [1], spec
 
+    def test_greedy_generators_match_the_full_closure_walk(self):
+        tables = [group.table for group in catalog_groups_to_120()]
+        rng = random.Random(20)
+        for _ in range(1500):
+            # an identity at 0 and any other entries: groups, loops and non-Latin magmas
+            n = rng.randint(1, 9)
+            rows = [list(range(n))] + [[i] + rng.choices(range(n), k=n - 1) for i in range(1, n)]
+            tables.append(tuple(map(tuple, rows)))
+        tables += [switch(table, cells) for table in SMALL_TABLES for cells in intercalates(table)[:3]]
+        for table in tables:
+            assert _generating_set(table) == reference_generating_set(table)
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_reference_on_perturbed_tables(self, data):
@@ -476,7 +533,10 @@ class TestValidator:
         rows = construct_group(spec).table
         from_bytes, from_tuples = Group(list(map(bytes, rows)), spec), Group(rows, spec)
         assert from_bytes.table == from_tuples.table == rows
-        assert all(type(row) is tuple for row in from_bytes.table)
+        for group in (from_bytes, from_tuples):
+            assert type(group.table) is tuple and group.table is group.table
+            assert all(type(row) is tuple for row in group.table)
+            assert {type(x) for row in group.table for x in row} == {int}
         assert from_bytes.element_orders == from_tuples.element_orders
         assert all(from_bytes.powers_of(g) == from_tuples.powers_of(g) for g in range(len(rows)))
 
